@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check lint fmt vet build test race bench bench-full bench-json bench-guard profile chaos chaos-sweep clean
+.PHONY: check lint fmt vet build test race fuzz bench bench-full bench-json bench-guard profile chaos chaos-sweep clean
 
 check: fmt vet build race
 
@@ -31,6 +31,17 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every Fuzz* target in the module, one after another (go test runs one
+# fuzz target per invocation), 10 s each. New inputs that fail land in
+# the package's testdata/fuzz/ as regression seeds.
+fuzz:
+	@set -e; for dir in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		for f in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$dir/*_test.go 2>/dev/null); do \
+			echo "fuzz $$f ($$dir)"; \
+			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s $$dir; \
+		done; \
+	done
 
 # Chaos smoke: the three pipelines under deterministic fault injection at
 # the paper-scale 2% rate with a fixed seed. Must complete and keep shape

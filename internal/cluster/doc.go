@@ -45,4 +45,16 @@
 // (tests, benchmarks, and the scaling harness), HTTPTransport drives the
 // /v1/cluster/shards and /v1/cluster/ping endpoints of remote leaksd
 // worker daemons (leaksd -role=worker).
+//
+// Over HTTP, shard requests and heartbeats are JSON; shard results use
+// the binary encoding of wire.go (AppendShardResult, DecodeShardResult):
+// a version byte (WireVersion), the worker ID, shard and generation, a
+// path table written once per shard in first-use order, then per
+// container a present/nil flag, a finding count, and per finding a
+// varint path index, a status byte and the 8 IEEE-754 bits of Overlap.
+// The coordinator reads at most MaxMessageBytes of a reply, and any
+// read or decode failure is ErrWorkerDown, so the shard is retried or
+// reassigned. There is no negotiation or JSON fallback: coordinator and
+// workers ship from one binary and upgrade together, and a layout change
+// bumps WireVersion.
 package cluster

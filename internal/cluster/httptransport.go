@@ -15,9 +15,11 @@ import (
 // POST {base}/v1/cluster/shards executes a shard, GET {base}/v1/cluster/ping
 // probes liveness. Worker IDs are their base URLs (scheme optional;
 // "host:port" gets "http://"), so the peer list handed to leaksd
-// -role=coordinator doubles as the membership. Any transport-level failure
-// or non-2xx status wraps ErrWorkerDown — to the coordinator an
-// unreachable worker and a crashed one are the same thing.
+// -role=coordinator doubles as the membership. Any transport-level
+// failure, non-2xx status, reply over MaxMessageBytes or undecodable
+// reply wraps ErrWorkerDown — to the coordinator an unreachable worker, a
+// crashed one and one speaking another wire version are the same thing,
+// and the shard goes through the usual retry/requeue path.
 type HTTPTransport struct {
 	client *http.Client
 	peers  map[string]string // workerID -> base URL
@@ -64,9 +66,14 @@ func (t *HTTPTransport) base(workerID string) (string, error) {
 	return b, nil
 }
 
-// do runs one request and decodes a JSON body into out, folding every
-// failure mode into ErrWorkerDown.
-func (t *HTTPTransport) do(ctx context.Context, workerID, method, path string, body, out any) error {
+// MaxMessageBytes caps one cluster message body: a shard request a worker
+// reads, and a reply the coordinator reads. A longer reply fails the call
+// as ErrWorkerDown instead of being buffered.
+const MaxMessageBytes = 8 << 20
+
+// do runs one request with an optional JSON body and hands the 2xx reply
+// body to decode, folding every failure mode into ErrWorkerDown.
+func (t *HTTPTransport) do(ctx context.Context, workerID, method, path string, body any, decode func([]byte) error) error {
 	base, err := t.base(workerID)
 	if err != nil {
 		return err
@@ -96,27 +103,41 @@ func (t *HTTPTransport) do(ctx context.Context, workerID, method, path string, b
 		return fmt.Errorf("%w: %s: %s %s: %s", ErrWorkerDown, workerID, path,
 			resp.Status, strings.TrimSpace(string(msg)))
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("%w: %s: decode %s: %v", ErrWorkerDown, workerID, path, err)
-		}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, MaxMessageBytes+1))
+	if err != nil {
+		return fmt.Errorf("%w: %s: read %s: %v", ErrWorkerDown, workerID, path, err)
+	}
+	if len(b) > MaxMessageBytes {
+		return fmt.Errorf("%w: %s: %s reply exceeds %d bytes", ErrWorkerDown, workerID, path, MaxMessageBytes)
+	}
+	if err := decode(b); err != nil {
+		return fmt.Errorf("%w: %s: decode %s: %v", ErrWorkerDown, workerID, path, err)
 	}
 	return nil
 }
 
-// ExecShard implements Transport.
+// ExecShard implements Transport. The request is JSON; the reply is the
+// binary shard-result encoding (wire.go).
 func (t *HTTPTransport) ExecShard(ctx context.Context, workerID string, req *ShardRequest) (*ShardResult, error) {
-	var res ShardResult
-	if err := t.do(ctx, workerID, http.MethodPost, "/v1/cluster/shards", req, &res); err != nil {
+	var res *ShardResult
+	err := t.do(ctx, workerID, http.MethodPost, "/v1/cluster/shards", req, func(b []byte) error {
+		var err error
+		res, err = DecodeShardResult(b)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	return &res, nil
+	return res, nil
 }
 
 // Ping implements Transport.
 func (t *HTTPTransport) Ping(ctx context.Context, workerID string) (*Heartbeat, error) {
 	var hb Heartbeat
-	if err := t.do(ctx, workerID, http.MethodGet, "/v1/cluster/ping", nil, &hb); err != nil {
+	err := t.do(ctx, workerID, http.MethodGet, "/v1/cluster/ping", nil, func(b []byte) error {
+		return json.Unmarshal(b, &hb)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &hb, nil

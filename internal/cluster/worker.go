@@ -25,20 +25,22 @@ type ShardRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// ShardResult is a shard's findings plus the convergence proof.
+// ShardResult is a shard's findings plus the convergence proof. Over HTTP
+// it travels in the binary encoding of wire.go (AppendShardResult /
+// DecodeShardResult), not JSON.
 type ShardResult struct {
-	WorkerID string `json:"worker_id"`
-	Shard    int    `json:"shard"`
+	WorkerID string
+	Shard    int
 	// Generation is the replica kernel's total subsystem bump count at the
 	// observation tick. Replicas of one spec at one tick always agree; the
 	// coordinator rejects a shard whose generation diverges from the
 	// scan's, because it would have been rendered against a different
 	// world.
-	Generation uint64 `json:"generation"`
+	Generation uint64
 	// Findings holds one finding slice per requested container, in request
 	// order, each in path order — the same bytes the container's slice of a
 	// single-node FleetValidate would hold.
-	Findings [][]core.Finding `json:"findings"`
+	Findings [][]core.Finding
 }
 
 // Heartbeat is a worker's liveness reply.

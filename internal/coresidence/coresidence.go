@@ -18,6 +18,7 @@ package coresidence
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -189,6 +190,11 @@ func ParseUptime(content string) (Uptime, error) {
 	idle, err := strconv.ParseFloat(fields[1], 64)
 	if err != nil {
 		return Uptime{}, fmt.Errorf("coresidence: parse idle: %w", err)
+	}
+	// ParseFloat accepts "NaN" and "Inf"; neither is a clock reading, and
+	// either would make ByUptime's tolerance comparison meaningless.
+	if math.IsNaN(up) || math.IsInf(up, 0) || math.IsNaN(idle) || math.IsInf(idle, 0) {
+		return Uptime{}, fmt.Errorf("coresidence: non-finite uptime %q", content)
 	}
 	return Uptime{UpSeconds: up, IdleSeconds: idle}, nil
 }

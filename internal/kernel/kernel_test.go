@@ -578,3 +578,26 @@ func TestBuddyInfoConservesFreePages(t *testing.T) {
 		t.Fatalf("buddy blocks cover %d pages, free pool is %d", sum, free)
 	}
 }
+
+// TestIdleAccessorsMatchSnapshot: the per-cell cpuidle accessors read
+// exactly what the full table copy holds, without allocating.
+func TestIdleAccessorsMatchSnapshot(t *testing.T) {
+	k := newTestKernel(8)
+	tick(k, 30)
+	st := k.IdleStateSnapshot()
+	for si, s := range st {
+		for cpu := range s.UsagePerCPU {
+			if got := k.IdleUsage(si, cpu); got != s.UsagePerCPU[cpu] {
+				t.Fatalf("IdleUsage(%d, %d) = %g; snapshot %g", si, cpu, got, s.UsagePerCPU[cpu])
+			}
+			if got := k.IdleTimeUS(si, cpu); got != s.TimeUSPerCPU[cpu] {
+				t.Fatalf("IdleTimeUS(%d, %d) = %g; snapshot %g", si, cpu, got, s.TimeUSPerCPU[cpu])
+			}
+		}
+	}
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() { sink += k.IdleUsage(1, 3) + k.IdleTimeUS(1, 3) }); n != 0 {
+		t.Fatalf("idle accessors allocate %g times per call", n)
+	}
+	_ = sink
+}

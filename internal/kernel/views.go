@@ -231,6 +231,14 @@ func (k *Kernel) IdleStateSnapshot() []IdleState {
 	return out
 }
 
+// IdleUsage returns cpuidle state's entry count on cpu — the
+// allocation-free read behind one cpuidle/state#/usage file.
+func (k *Kernel) IdleUsage(state, cpu int) float64 { return k.idleStates[state].UsagePerCPU[cpu] }
+
+// IdleTimeUS returns cpuidle state's residency on cpu in microseconds —
+// the allocation-free read behind one cpuidle/state#/time file.
+func (k *Kernel) IdleTimeUS(state, cpu int) float64 { return k.idleStates[state].TimeUSPerCPU[cpu] }
+
 // Modules returns the loaded-module list — identical across the fleet,
 // which is exactly why the paper ranks /proc/modules useless for
 // co-residence despite leaking host configuration.

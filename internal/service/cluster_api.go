@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"repro/internal/cluster"
 )
@@ -82,14 +84,15 @@ func (a *api) postClusterScanV1(w http.ResponseWriter, r *http.Request) {
 }
 
 // postClusterShardV1 serves POST /v1/cluster/shards (worker only): execute
-// one shard of a partitioned fleet scan and return its findings — the
-// endpoint cluster.HTTPTransport calls.
+// one shard of a partitioned fleet scan and return its findings in the
+// binary shard-result encoding (cluster.AppendShardResult) — the endpoint
+// cluster.HTTPTransport calls. Error replies stay JSON envelopes.
 func (a *api) postClusterShardV1(w http.ResponseWriter, r *http.Request) {
 	if !a.requireRole(w, cluster.RoleWorker) {
 		return
 	}
 	var req cluster.ShardRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, cluster.MaxMessageBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeErrorV1(w, http.StatusBadRequest, codeBadRequest, "invalid JSON body: %v", err)
@@ -108,8 +111,18 @@ func (a *api) postClusterShardV1(w http.ResponseWriter, r *http.Request) {
 		writeErrorV1(w, status, code, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	buf := shardBufPool.Get().(*[]byte)
+	b := cluster.AppendShardResult((*buf)[:0], res)
+	w.Header().Set("Content-Type", cluster.ShardResultMediaType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+	*buf = b
+	shardBufPool.Put(buf)
 }
+
+// shardBufPool recycles shard-result encode buffers across requests.
+var shardBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // getClusterPingV1 serves GET /v1/cluster/ping (worker only): the liveness
 // probe the coordinator's heartbeat loop hits.

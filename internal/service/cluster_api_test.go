@@ -117,8 +117,11 @@ func TestClusterWorkerShardRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("shard status = %d (%s)", resp.StatusCode, body)
 	}
-	var res cluster.ShardResult
-	if err := json.Unmarshal(body, &res); err != nil {
+	if ct := resp.Header.Get("Content-Type"); ct != cluster.ShardResultMediaType {
+		t.Fatalf("shard Content-Type = %q; want %q", ct, cluster.ShardResultMediaType)
+	}
+	res, err := cluster.DecodeShardResult(body)
+	if err != nil {
 		t.Fatalf("decode shard result: %v", err)
 	}
 	if res.WorkerID != "w1" || res.Generation == 0 || len(res.Findings) != 2 {
