@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chaos"
@@ -25,7 +26,7 @@ import (
 func benchTable1(b *testing.B, workers int) {
 	var available int
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table1Workers(workers)
+		r, err := experiments.Table1(context.Background(), chaos.Spec{}, 0, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func BenchmarkRecurringScanIncremental(b *testing.B) {
 func BenchmarkMatrixSweepCold(b *testing.B) {
 	var avail int
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.MatrixSweepWorkers(1)
+		r, err := experiments.MatrixSweep(context.Background(), chaos.Spec{}, 0, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func BenchmarkFig3SynergisticVsPeriodic(b *testing.B) {
 func benchFig3Sweep(b *testing.B, workers int) {
 	var wins, ties int
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3SweepWorkers(5, workers)
+		r, err := experiments.Fig3Sweep(context.Background(), 5, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -218,7 +219,7 @@ func BenchmarkFig7DRAMEnergyModel(b *testing.B) {
 func BenchmarkFig8ModelAccuracy(b *testing.B) {
 	var maxXi float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8()
+		r, err := experiments.Fig8(context.Background(), chaos.Spec{}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +263,7 @@ func BenchmarkTable3UnixBench(b *testing.B) {
 func BenchmarkAblationCalibration(b *testing.B) {
 	var worstOn, worstOff float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationCalibration()
+		r, err := experiments.AblationCalibration(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -296,7 +297,7 @@ func BenchmarkAblationModelFeatures(b *testing.B) {
 func BenchmarkAblationStrategyCost(b *testing.B) {
 	var synBill float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationStrategyCost()
+		rows, err := experiments.AblationStrategyCost(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -312,7 +313,7 @@ func BenchmarkAblationStrategyCost(b *testing.B) {
 func BenchmarkAblationCrestThreshold(b *testing.B) {
 	var bestPeak float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.AblationCrestThreshold()
+		points, err := experiments.AblationCrestThreshold(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -329,7 +330,7 @@ func BenchmarkAblationCrestThreshold(b *testing.B) {
 func BenchmarkDiscovery(b *testing.B) {
 	var novel int
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Discovery()
+		r, err := experiments.Discovery(context.Background(), chaos.Spec{}, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -341,7 +342,7 @@ func BenchmarkDiscovery(b *testing.B) {
 func BenchmarkCovertChannels(b *testing.B) {
 	var defendedPowerBER float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.CovertSurvey()
+		r, err := experiments.CovertSurvey(context.Background(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,6 +37,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -67,13 +68,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("j", 0, "worker count for parallel experiments (0 = GOMAXPROCS)")
 	chaosRate := fs.Float64("chaos", 0, "fault-injection rate on the defense's counter reads (0 = off; applies to -fig8)")
 	chaosSeed := fs.Int64("chaosseed", 1, "seed for the deterministic fault streams")
-	snapshots := fs.Bool("snapshots", true, "reuse simulated worlds via copy-on-write snapshots (false = rebuild every world)")
 	prof := profiling.Register(fs)
 	version := fs.Bool("version", false, "print build info and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	experiments.SetSnapshots(*snapshots)
 	if *version {
 		fmt.Fprintln(stdout, buildinfo.String("defensebench"))
 		return 0
@@ -85,6 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer prof.Stop(func(format string, args ...any) { fmt.Fprintf(stderr, format, args...) })
 	all := !*fig6 && !*fig7 && !*fig8 && !*fig9 && !*table3 && !*ablations && !*sweep && *policyFile == "" && *runtime == ""
 	spec := chaos.Spec{Rate: *chaosRate, Seed: *chaosSeed}
+	ctx := context.Background()
 
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "defensebench: %v\n", err)
@@ -106,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, r)
 	}
 	if *fig8 || all {
-		r, err := experiments.Fig8ChaosWorkers(spec, *jobs)
+		r, err := experiments.Fig8(ctx, spec, *jobs)
 		if err != nil {
 			return fail(err)
 		}
@@ -123,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, experiments.Table3())
 	}
 	if *ablations || all {
-		cs, err := experiments.CovertSurveyWorkers(*jobs)
+		cs, err := experiments.CovertSurvey(ctx, *jobs)
 		if err != nil {
 			return fail(err)
 		}
@@ -143,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprintln(stdout, pb)
-		r1, err := experiments.AblationCalibrationWorkers(*jobs)
+		r1, err := experiments.AblationCalibration(*jobs)
 		if err != nil {
 			return fail(err)
 		}
@@ -153,12 +153,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprintln(stdout, r2)
-		sc, err := experiments.AblationStrategyCostWorkers(*jobs)
+		sc, err := experiments.AblationStrategyCost(*jobs)
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Fprintln(stdout, experiments.RenderStrategyCost(sc))
-		points, err := experiments.AblationCrestThresholdWorkers(*jobs)
+		points, err := experiments.AblationCrestThreshold(*jobs)
 		if err != nil {
 			return fail(err)
 		}
@@ -170,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, experiments.RenderStages(stages))
 	}
 	if *sweep {
-		r, err := experiments.ChaosSweep(nil, *chaosSeed, *jobs)
+		r, err := experiments.ChaosSweep(ctx, nil, *chaosSeed, *jobs)
 		if err != nil {
 			return fail(err)
 		}
@@ -184,7 +184,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, r)
 	}
 	if *runtime != "" {
-		r, err := experiments.RuntimeDefense(*runtime, *jobs)
+		r, err := experiments.RuntimeDefense(*runtime, chaos.Spec{}, 0, *jobs)
 		if err != nil {
 			return fail(err)
 		}

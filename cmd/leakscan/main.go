@@ -60,13 +60,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("j", 0, "worker count for parallel experiments (0 = GOMAXPROCS)")
 	chaosRate := fs.Float64("chaos", 0, "fault-injection rate on the observation surface (0 = off)")
 	chaosSeed := fs.Int64("chaosseed", 1, "seed for the deterministic fault streams")
-	snapshots := fs.Bool("snapshots", true, "reuse simulated worlds via copy-on-write snapshots (false = rebuild every world)")
 	prof := profiling.Register(fs)
 	version := fs.Bool("version", false, "print build info and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	experiments.SetSnapshots(*snapshots)
 	if *version {
 		fmt.Fprintln(stdout, buildinfo.String("leakscan"))
 		return 0
@@ -78,13 +76,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer prof.Stop(func(format string, args ...any) { fmt.Fprintf(stderr, format, args...) })
 	all := !*table1 && !*table2 && !*discover && !*matrix && *runtime == "" && *fleet == 0
 	spec := chaos.Spec{Rate: *chaosRate, Seed: *chaosSeed}
+	ctx := context.Background()
 
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "leakscan: %v\n", err)
 		return 1
 	}
 	if *table1 || all {
-		r, err := experiments.Table1ChaosWorkers(spec, *jobs)
+		r, err := experiments.Table1(ctx, spec, 0, *jobs)
 		if err != nil {
 			return fail(err)
 		}
@@ -98,14 +97,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, r)
 	}
 	if *discover || all {
-		r, err := experiments.DiscoveryChaosWorkers(spec, *jobs)
+		r, err := experiments.Discovery(ctx, spec, 0, *jobs)
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Fprintln(stdout, r)
 	}
 	if *matrix {
-		r, err := experiments.MatrixSweepSeeded(context.Background(), spec, 0, *jobs)
+		r, err := experiments.MatrixSweep(ctx, spec, 0, *jobs)
 		if err != nil {
 			return fail(err)
 		}
@@ -119,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, r)
 	}
 	if *fleet > 0 {
-		r, err := experiments.FleetScanSeeded(context.Background(), spec, 0, *fleet, *jobs)
+		r, err := experiments.FleetScanSeeded(ctx, spec, 0, *fleet, *jobs)
 		if err != nil {
 			return fail(err)
 		}

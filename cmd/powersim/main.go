@@ -24,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -51,13 +52,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("j", 0, "worker count for the seed sweep (0 = GOMAXPROCS)")
 	chaosRate := fs.Float64("chaos", 0, "fault-injection rate on the observation surface (0 = off; applies to -fig3)")
 	chaosSeed := fs.Int64("chaosseed", 1, "seed for the deterministic fault streams")
-	snapshots := fs.Bool("snapshots", true, "reuse simulated worlds via copy-on-write snapshots (false = rebuild every world)")
 	prof := profiling.Register(fs)
 	version := fs.Bool("version", false, "print build info and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	experiments.SetSnapshots(*snapshots)
 	if *version {
 		fmt.Fprintln(stdout, buildinfo.String("powersim"))
 		return 0
@@ -93,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *sweep > 0 {
-		r, err := experiments.Fig3SweepWorkers(*sweep, *jobs)
+		r, err := experiments.Fig3Sweep(context.Background(), *sweep, *jobs)
 		if err != nil {
 			return fail(err)
 		}

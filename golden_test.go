@@ -53,23 +53,23 @@ func goldenCases() []goldenCase {
 	}
 	fig8 := func(rate float64) func(int) (string, error) {
 		return func(w int) (string, error) {
-			return sprintln(experiments.Fig8ChaosWorkers(chaos.Spec{Rate: rate, Seed: 1}, w))
+			return sprintln(experiments.Fig8(ctx, chaos.Spec{Rate: rate, Seed: 1}, w))
 		}
 	}
 	return []goldenCase{
 		// The zero Spec and the CLI's rate-0 default must both render the
 		// chaos-free table: chaos off is a no-op.
 		{"leakscan-table1/zero-spec", "leakscan-table1", bothWorkers, func(w int) (string, error) {
-			return sprintln(experiments.Table1ChaosWorkers(chaos.Spec{}, w))
+			return sprintln(experiments.Table1(ctx, chaos.Spec{}, 0, w))
 		}},
 		{"leakscan-table1/cli-spec", "leakscan-table1", bothWorkers, func(w int) (string, error) {
-			return sprintln(experiments.Table1ChaosWorkers(cliSpec, w))
+			return sprintln(experiments.Table1(ctx, cliSpec, 0, w))
 		}},
 		{"leakscan-discover", "leakscan-discover", bothWorkers, func(w int) (string, error) {
-			return sprintln(experiments.DiscoveryChaosWorkers(cliSpec, w))
+			return sprintln(experiments.Discovery(ctx, cliSpec, 0, w))
 		}},
 		{"leakscan-matrix", "leakscan-matrix", bothWorkers, func(w int) (string, error) {
-			return sprintln(experiments.MatrixSweepSeeded(ctx, cliSpec, 0, w))
+			return sprintln(experiments.MatrixSweep(ctx, cliSpec, 0, w))
 		}},
 		{"leakscan-runtime-gvisor", "leakscan-runtime-gvisor", bothWorkers, func(w int) (string, error) {
 			return sprintln(experiments.InspectRuntimeChaosWorkers("gvisor", cliSpec, w))
@@ -80,16 +80,16 @@ func goldenCases() []goldenCase {
 		{"powersim-fig3", "powersim-fig3", oneWorker, fig3(0)},
 		{"powersim-fig3-chaos", "powersim-fig3-chaos", oneWorker, fig3(0.02)},
 		{"powersim-fig3sweep-3", "powersim-fig3sweep-3", oneWorker, func(w int) (string, error) {
-			return sprint(experiments.Fig3SweepWorkers(3, w))
+			return sprint(experiments.Fig3Sweep(ctx, 3, w))
 		}},
 		{"defensebench-fig8", "defensebench-fig8", bothWorkers, fig8(0)},
 		{"defensebench-fig8-chaos", "defensebench-fig8-chaos", bothWorkers, fig8(0.02)},
 		{"defensebench-runtime-gvisor", "defensebench-runtime-gvisor", bothWorkers, func(w int) (string, error) {
-			return sprintln(experiments.RuntimeDefense("gvisor", w))
+			return sprintln(experiments.RuntimeDefense("gvisor", chaos.Spec{}, 0, w))
 		}},
 		{"defensebench-ablations", "defensebench-ablations", oneWorker, renderAblations},
 		{"defensebench-chaossweep", "defensebench-chaossweep", oneWorker, func(w int) (string, error) {
-			return sprintln(experiments.ChaosSweep(nil, 1, w))
+			return sprintln(experiments.ChaosSweep(ctx, nil, 1, w))
 		}},
 	}
 }
@@ -98,18 +98,18 @@ func goldenCases() []goldenCase {
 func renderAblations(w int) (string, error) {
 	var b strings.Builder
 	steps := []func() (string, error){
-		func() (string, error) { return sprintln(experiments.CovertSurveyWorkers(w)) },
+		func() (string, error) { return sprintln(experiments.CovertSurvey(context.Background(), w)) },
 		func() (string, error) { return sprintln(experiments.DefendedAttack()) },
 		func() (string, error) { return sprintln(experiments.Detection()) },
 		func() (string, error) { return sprintln(experiments.PowerBilling()) },
-		func() (string, error) { return sprintln(experiments.AblationCalibrationWorkers(w)) },
+		func() (string, error) { return sprintln(experiments.AblationCalibration(w)) },
 		func() (string, error) { return sprintln(experiments.AblationModelFeatures()) },
 		func() (string, error) {
-			sc, err := experiments.AblationStrategyCostWorkers(w)
+			sc, err := experiments.AblationStrategyCost(w)
 			return sprintln(experiments.RenderStrategyCost(sc), err)
 		},
 		func() (string, error) {
-			points, err := experiments.AblationCrestThresholdWorkers(w)
+			points, err := experiments.AblationCrestThreshold(w)
 			return sprintln(experiments.RenderCrestSweep(points), err)
 		},
 		func() (string, error) {

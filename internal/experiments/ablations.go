@@ -27,17 +27,11 @@ type AblationCalibrationResult struct {
 }
 
 // AblationCalibration quantifies what the calibration step buys: the same
-// trained model, evaluated on the SPEC subset with and without Formula 3,
-// at the default worker count.
-func AblationCalibration() (*AblationCalibrationResult, error) {
-	return AblationCalibrationWorkers(0)
-}
-
-// AblationCalibrationWorkers fans the per-benchmark on/off measurement
-// pairs out: each measureXiCalibrated call builds its own kernel and only
-// reads the shared trained model (immutable after Train), so the rows are
-// share-nothing and return in benchmark order.
-func AblationCalibrationWorkers(workers int) (*AblationCalibrationResult, error) {
+// trained model, evaluated on the SPEC subset with and without Formula 3.
+// Each measureXiCalibrated call builds its own kernel and only reads the
+// shared trained model (immutable after Train), so the per-benchmark on/off
+// pairs fan out over workers as share-nothing rows, in benchmark order.
+func AblationCalibration(workers int) (*AblationCalibrationResult, error) {
 	model, _, err := powerns.Train(powerns.TrainOptions{Seed: 21})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ablation calibration train: %w", err)
@@ -126,14 +120,11 @@ type CrestPoint struct {
 }
 
 // AblationCrestThreshold sweeps the synergistic attack's crest percentile
-// and reports the peak/cost trade-off, at the default worker count.
-func AblationCrestThreshold() ([]CrestPoint, error) { return AblationCrestThresholdWorkers(0) }
-
-// AblationCrestThresholdWorkers is the crest sweep with an explicit worker
-// count: every percentile point rebuilds its own datacenter from the same
-// seed (share-nothing worlds differing only in the attack threshold), so
-// the points fan out in parallel and return in sweep order.
-func AblationCrestThresholdWorkers(workers int) ([]CrestPoint, error) {
+// and reports the peak/cost trade-off. Every percentile point rebuilds its
+// own datacenter from the same seed (share-nothing worlds differing only in
+// the attack threshold), so the points fan out over workers and return in
+// sweep order.
+func AblationCrestThreshold(workers int) ([]CrestPoint, error) {
 	return parallel.Map(workers, []float64{50, 70, 80, 90, 95, 99}, func(_ int, pct float64) (CrestPoint, error) {
 		dc := cloud.New(cloud.Config{
 			Racks: 1, ServersPerRack: 4, CoresPerServer: 16, Seed: 23,
@@ -176,14 +167,10 @@ type StrategyCost struct {
 }
 
 // AblationStrategyCost compares continuous, periodic, and synergistic
-// attacks on identical worlds, including the metered bill each accrues,
-// at the default worker count.
-func AblationStrategyCost() ([]StrategyCost, error) { return AblationStrategyCostWorkers(0) }
-
-// AblationStrategyCostWorkers is the strategy comparison with an explicit
-// worker count: each strategy drives its own same-seed world, so the three
-// runs are share-nothing and fan out in parallel, rows in strategy order.
-func AblationStrategyCostWorkers(workers int) ([]StrategyCost, error) {
+// attacks on identical worlds, including the metered bill each accrues.
+// Each strategy drives its own same-seed world, so the three runs are
+// share-nothing and fan out over workers, rows in strategy order.
+func AblationStrategyCost(workers int) ([]StrategyCost, error) {
 	run := func(strategy string) (StrategyCost, error) {
 		dc := cloud.New(cloud.Config{
 			Racks: 1, ServersPerRack: 4, CoresPerServer: 16, Seed: 24,

@@ -74,20 +74,13 @@ func DefaultChaosRates() []float64 { return []float64{0.01, 0.02, 0.05, 0.10, 0.
 // against a chaos-free baseline. Cells are share-nothing (every experiment
 // builds its own worlds, and fault streams are salted per host/path), so
 // they fan out across workers with byte-identical results at any count.
-func ChaosSweep(rates []float64, seed int64, workers int) (*ChaosSweepResult, error) {
-	return ChaosSweepCtx(context.Background(), rates, seed, workers)
-}
-
-// ChaosSweepCtx is ChaosSweep with cooperative cancellation: each grid cell
-// re-runs three full pipelines, so this is the longest sweep in the
-// repository, and a daemon shutdown must be able to abandon the
-// not-yet-dispatched rates. A background context is byte-identical to
-// ChaosSweep.
-func ChaosSweepCtx(ctx context.Context, rates []float64, seed int64, workers int) (*ChaosSweepResult, error) {
+// Each cell re-runs three full pipelines, so this is the longest sweep in
+// the repository; cancelling ctx abandons the not-yet-dispatched rates.
+func ChaosSweep(ctx context.Context, rates []float64, seed int64, workers int) (*ChaosSweepResult, error) {
 	if len(rates) == 0 {
 		rates = DefaultChaosRates()
 	}
-	base, err := Table1Seeded(ctx, chaos.Spec{}, 0, workers)
+	base, err := Table1(ctx, chaos.Spec{}, 0, workers)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos sweep baseline: %w", err)
 	}
@@ -114,7 +107,7 @@ func ChaosSweepCtx(ctx context.Context, rates []float64, seed int64, workers int
 func chaosCell(spec chaos.Spec, base *Table1Result) ChaosCell {
 	cell := ChaosCell{Rate: spec.Rate}
 
-	if t1, err := Table1ChaosWorkers(spec, 1); err != nil {
+	if t1, err := Table1(context.Background(), spec, 0, 1); err != nil {
 		cell.Errs = append(cell.Errs, fmt.Sprintf("table1: %v", err))
 	} else {
 		cell.Table1Agree = table1Agreement(base, t1)
@@ -128,7 +121,7 @@ func chaosCell(spec chaos.Spec, base *Table1Result) ChaosCell {
 		cell.MonitorFaults = f3.Synergistic.MonitorFaults
 	}
 
-	if f8, err := Fig8ChaosWorkers(spec, 1); err != nil {
+	if f8, err := Fig8(context.Background(), spec, 1); err != nil {
 		cell.Errs = append(cell.Errs, fmt.Sprintf("fig8: %v", err))
 	} else {
 		cell.MaxXi = f8.MaxXi

@@ -7,6 +7,7 @@ package experiments
 // determinism_test.go for the perturbed pipelines.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ var testSpec = chaos.Spec{Rate: 0.05, Seed: 1}
 
 func TestTable1ChaosDeterministicAcrossWorkerCounts(t *testing.T) {
 	diffWorkers(t, "Table1Chaos", func(w int) (string, error) {
-		r, err := Table1ChaosWorkers(testSpec, w)
+		r, err := Table1(context.Background(), testSpec, 0, w)
 		if err != nil {
 			return "", err
 		}
@@ -27,7 +28,7 @@ func TestTable1ChaosDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestFig8ChaosDeterministicAcrossWorkerCounts(t *testing.T) {
 	diffWorkers(t, "Fig8Chaos", func(w int) (string, error) {
-		r, err := Fig8ChaosWorkers(testSpec, w)
+		r, err := Fig8(context.Background(), testSpec, w)
 		if err != nil {
 			return "", err
 		}
@@ -37,29 +38,12 @@ func TestFig8ChaosDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestDiscoveryChaosDeterministicAcrossWorkerCounts(t *testing.T) {
 	diffWorkers(t, "DiscoveryChaos", func(w int) (string, error) {
-		r, err := DiscoveryChaosWorkers(testSpec, w)
+		r, err := Discovery(context.Background(), testSpec, 0, w)
 		if err != nil {
 			return "", err
 		}
 		return r.String(), nil
 	})
-}
-
-// TestChaosVariantsZeroSpecMatchClean: the chaos-off behavioral
-// equivalence contract at the API layer — a zero Spec must render byte-
-// identically to the original entry points.
-func TestChaosVariantsZeroSpecMatchClean(t *testing.T) {
-	clean, err := Table1Workers(2)
-	if err != nil {
-		t.Fatalf("Table1Workers: %v", err)
-	}
-	zero, err := Table1ChaosWorkers(chaos.Spec{}, 2)
-	if err != nil {
-		t.Fatalf("Table1ChaosWorkers(zero): %v", err)
-	}
-	if clean.String() != zero.String() {
-		t.Fatal("Table1ChaosWorkers with zero Spec diverges from Table1Workers")
-	}
 }
 
 // TestFig3ChaosCompletesAndKeepsShape: under a moderate fault rate the
@@ -86,7 +70,7 @@ func TestFig3ChaosCompletesAndKeepsShape(t *testing.T) {
 func TestChaosSweepSmallGrid(t *testing.T) {
 	rates := []float64{0.02}
 	render := func(w int) (string, error) {
-		r, err := ChaosSweep(rates, 1, w)
+		r, err := ChaosSweep(context.Background(), rates, 1, w)
 		if err != nil {
 			return "", err
 		}
@@ -104,7 +88,7 @@ func TestChaosSweepSmallGrid(t *testing.T) {
 		t.Fatalf("ChaosSweep differs across worker counts:\n--- 1 ---\n%s\n--- 8 ---\n%s", serial, par)
 	}
 
-	r, err := ChaosSweep(rates, 1, 2)
+	r, err := ChaosSweep(context.Background(), rates, 1, 2)
 	if err != nil {
 		t.Fatalf("ChaosSweep: %v", err)
 	}

@@ -54,21 +54,12 @@ type CovertSurveyResult struct {
 	Rows []CovertRow
 }
 
-// CovertSurvey runs the measurements at the default worker count.
-func CovertSurvey() (*CovertSurveyResult, error) { return CovertSurveyWorkers(0) }
-
-// CovertSurveyWorkers is CovertSurvey with an explicit worker count: the
-// 4 hardening levels × 3 signals grid is 12 share-nothing worlds (each
-// measurement builds its own single-server datacenter and drives its own
-// clock), fanned out in parallel with rows kept in grid order.
-func CovertSurveyWorkers(workers int) (*CovertSurveyResult, error) {
-	return CovertSurveyCtx(context.Background(), workers)
-}
-
-// CovertSurveyCtx is CovertSurveyWorkers with cooperative cancellation over
-// the 12-world grid. A background context is byte-identical to
-// CovertSurveyWorkers.
-func CovertSurveyCtx(ctx context.Context, workers int) (*CovertSurveyResult, error) {
+// CovertSurvey runs the measurements over the 4 hardening levels × 3
+// signals grid: 12 share-nothing worlds (each measurement builds its own
+// single-server datacenter and drives its own clock), fanned out over
+// workers with rows kept in grid order and cooperative cancellation
+// through ctx.
+func CovertSurvey(ctx context.Context, workers int) (*CovertSurveyResult, error) {
 	configs := []covert.Config{
 		{Signal: covert.PowerSignal, SymbolSeconds: 2, Core: 2, LoadCores: 4},
 		{Signal: covert.UtilSignal, SymbolSeconds: 2, Core: 2, LoadCores: 4},

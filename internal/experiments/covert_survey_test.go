@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestCovertSurveyShape(t *testing.T) {
-	r, err := CovertSurvey()
+	r, err := CovertSurvey(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/cloud"
 	"repro/internal/parallel"
 )
@@ -40,7 +41,7 @@ func diffWorkers(t *testing.T, name string, render func(workers int) (string, er
 
 func TestTable1DeterministicAcrossWorkerCounts(t *testing.T) {
 	diffWorkers(t, "Table1", func(w int) (string, error) {
-		r, err := Table1Workers(w)
+		r, err := Table1(context.Background(), chaos.Spec{}, 0, w)
 		if err != nil {
 			return "", err
 		}
@@ -50,7 +51,7 @@ func TestTable1DeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestFig3SweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	diffWorkers(t, "Fig3Sweep", func(w int) (string, error) {
-		r, err := Fig3SweepWorkers(3, w)
+		r, err := Fig3Sweep(context.Background(), 3, w)
 		if err != nil {
 			return "", err
 		}
@@ -60,7 +61,7 @@ func TestFig3SweepDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestDiscoveryDeterministicAcrossWorkerCounts(t *testing.T) {
 	diffWorkers(t, "Discovery", func(w int) (string, error) {
-		r, err := DiscoveryWorkers(w)
+		r, err := Discovery(context.Background(), chaos.Spec{}, 0, w)
 		if err != nil {
 			return "", err
 		}
@@ -70,7 +71,7 @@ func TestDiscoveryDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestCovertSurveyDeterministicAcrossWorkerCounts(t *testing.T) {
 	diffWorkers(t, "CovertSurvey", func(w int) (string, error) {
-		r, err := CovertSurveyWorkers(w)
+		r, err := CovertSurvey(context.Background(), w)
 		if err != nil {
 			return "", err
 		}
@@ -80,7 +81,7 @@ func TestCovertSurveyDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestFig8DeterministicAcrossWorkerCounts(t *testing.T) {
 	diffWorkers(t, "Fig8", func(w int) (string, error) {
-		r, err := Fig8Workers(w)
+		r, err := Fig8(context.Background(), chaos.Spec{}, w)
 		if err != nil {
 			return "", err
 		}
@@ -102,7 +103,7 @@ func TestInspectAllSurvivesProviderFailure(t *testing.T) {
 		if p.Name == broken {
 			return CloudInspection{}, boom
 		}
-		return InspectProvider(p)
+		return InspectProviderSeeded(p, chaos.Spec{}, 0)
 	})
 	if err != nil {
 		t.Fatalf("partial failure must not be fatal: %v", err)
@@ -175,7 +176,7 @@ func TestInspectAllCapturesProviderPanic(t *testing.T) {
 		if p.Name == profiles[1].Name {
 			panic("inspector bug")
 		}
-		return InspectProvider(p)
+		return InspectProviderSeeded(p, chaos.Spec{}, 0)
 	})
 	if err != nil {
 		t.Fatalf("one panic must not be fatal: %v", err)

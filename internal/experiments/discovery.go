@@ -18,42 +18,26 @@ type DiscoveryResult struct {
 	TotalLeaking int
 }
 
-// Discovery runs the cross-validation detector on the local testbed at the
-// default worker count and reports the leaking files that no Table I
-// channel pattern covers.
-func Discovery() (*DiscoveryResult, error) { return DiscoveryWorkers(0) }
-
-// DiscoveryWorkers is Discovery with an explicit worker count: the
-// per-path cross-validation reads are fanned out while the clock is
-// paused, which is safe (read-only tree, audited handlers) and
-// deterministic (findings return in path order).
-func DiscoveryWorkers(workers int) (*DiscoveryResult, error) {
-	return DiscoveryChaosWorkers(chaos.Spec{}, workers)
-}
-
-// DiscoveryChaosWorkers is DiscoveryWorkers with the testbed's observation
-// surface armed with deterministic fault injection: the sweep must surface
-// the same leaking files when reads are flaky, because a production scanner
-// runs against hosts it does not control. The zero Spec is exactly
-// DiscoveryWorkers.
-func DiscoveryChaosWorkers(spec chaos.Spec, workers int) (*DiscoveryResult, error) {
-	return DiscoverySeeded(context.Background(), spec, 0, workers)
-}
-
 // DefaultDiscoverySeed is the testbed seed every one-shot discovery sweep
-// has used; seed 0 in DiscoverySeeded selects it.
+// has used; seed 0 in Discovery selects it.
 const DefaultDiscoverySeed int64 = 0xd15c
 
-// DiscoverySeeded is DiscoveryChaosWorkers with the testbed seed threaded
-// through (0 = DefaultDiscoverySeed) and cooperative cancellation: the
-// sweep is abandoned before the world is built when ctx is already done,
-// so a shutting-down daemon never starts a doomed cross-validation pass.
-// Background context + seed 0 is byte-identical to DiscoveryChaosWorkers.
+// Discovery runs the cross-validation detector on the local testbed (seed
+// 0 = DefaultDiscoverySeed) and reports the leaking files that no Table I
+// channel pattern covers. spec arms the testbed's observation surface with
+// deterministic fault injection: the sweep must surface the same leaking
+// files when reads are flaky, because a production scanner runs against
+// hosts it does not control (the zero Spec injects nothing). The per-path
+// cross-validation reads are fanned out over workers while the clock is
+// paused, which is safe (read-only tree, audited handlers) and
+// deterministic (findings return in path order). The sweep is abandoned
+// before the world is built when ctx is already done, so a shutting-down
+// daemon never starts a doomed cross-validation pass.
 //
 // The sweep runs as the first pass of a fresh DiscoverySession (see
 // session.go): all cache misses, byte-identical to the direct
 // core.CrossValidateWorkers path it replaces.
-func DiscoverySeeded(ctx context.Context, spec chaos.Spec, seed int64, workers int) (*DiscoveryResult, error) {
+func Discovery(ctx context.Context, spec chaos.Spec, seed int64, workers int) (*DiscoveryResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -1,14 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 )
 
 func TestDiscoveryFindsBeyondRegistryChannels(t *testing.T) {
-	r, err := Discovery()
+	r, err := Discovery(context.Background(), chaos.Spec{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

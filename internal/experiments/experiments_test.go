@@ -1,14 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 )
 
 func TestTable1ShapeMatchesPaper(t *testing.T) {
-	r, err := Table1()
+	r, err := Table1(context.Background(), chaos.Spec{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestFig3ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig3SweepShape(t *testing.T) {
-	r, err := Fig3Sweep(3)
+	r, err := Fig3Sweep(context.Background(), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +193,7 @@ func TestFig7ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig8ShapeMatchesPaper(t *testing.T) {
-	r, err := Fig8()
+	r, err := Fig8(context.Background(), chaos.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +277,7 @@ func TestTable3ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestAblationCalibrationHelps(t *testing.T) {
-	r, err := AblationCalibration()
+	r, err := AblationCalibration(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +315,7 @@ func TestAblationModelFeatures(t *testing.T) {
 }
 
 func TestAblationCrestThreshold(t *testing.T) {
-	points, err := AblationCrestThreshold()
+	points, err := AblationCrestThreshold(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +369,7 @@ func TestAblationDefenseStages(t *testing.T) {
 }
 
 func TestAblationStrategyCost(t *testing.T) {
-	rows, err := AblationStrategyCost()
+	rows, err := AblationStrategyCost(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,54 +112,44 @@ func Fig3Chaos(spec chaos.Spec) (*Fig3Result, error) {
 }
 
 func fig3WithSeed(seed int64, spec chaos.Spec) (*Fig3Result, error) {
-	build := func() (*cloud.Datacenter, *cloud.Rack, []*container.Container, error) {
-		// 24-core servers keep bursts below host saturation, so the
-		// superimposition advantage is visible in the rack peak.
-		dc := cloud.New(cloud.Config{
-			Racks: 1, ServersPerRack: 8, CoresPerServer: 24, Seed: seed,
-			BreakerRatedW: 1e9,
-			Benign:        cloud.BenignConfig{FlashCrowdPerDay: 48, FlashMinS: 60, FlashMaxS: 240, SharedFlash: true},
-			Chaos:         spec,
-		})
-		dc.Clock.Run(16*3600, 30) // reach the evening demand ramp
-		agg, err := attack.SpreadAcrossRack(dc, "mallory", 6, 4, 3600, 600)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return dc, agg.Kept[0].Server.Rack, agg.Containers(), nil
-	}
-
 	// The three campaigns need three copies of the same warmed-up world.
-	// With snapshots enabled the trio shares one build: the world comes
-	// from the snapshot pool (so repeated sweeps skip even the first
-	// build) and is rewound between campaigns — the restore contract
-	// makes each campaign byte-identical to running on a fresh build, and
-	// the container handles stay valid across restores.
+	// The trio shares one build: the world comes from the snapshot pool
+	// (so repeated sweeps skip even the first build) and is rewound
+	// between campaigns — the restore contract makes each campaign
+	// byte-identical to running on a fresh build, and the container
+	// handles stay valid across restores.
 	w, key, err := checkoutWorld(inspectPoolKey("fig3", "", spec, seed),
 		func() (*cloud.Datacenter, any, error) {
-			dc, rack, cs, err := build()
+			// 24-core servers keep bursts below host saturation, so the
+			// superimposition advantage is visible in the rack peak.
+			dc := cloud.New(cloud.Config{
+				Racks: 1, ServersPerRack: 8, CoresPerServer: 24, Seed: seed,
+				BreakerRatedW: 1e9,
+				Benign:        cloud.BenignConfig{FlashCrowdPerDay: 48, FlashMinS: 60, FlashMaxS: 240, SharedFlash: true},
+				Chaos:         spec,
+			})
+			dc.Clock.Run(16*3600, 30) // reach the evening demand ramp
+			agg, err := attack.SpreadAcrossRack(dc, "mallory", 6, 4, 3600, 600)
 			if err != nil {
 				return nil, nil, err
 			}
-			return dc, fig3World{rack: rack, cs: cs}, nil
+			return dc, fig3World{rack: agg.Kept[0].Server.Rack, cs: agg.Containers()}, nil
 		})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig 3 build: %w", err)
 	}
 	defer releaseWorld(key)
-	dcS := w.dc
-	rackS, csS := w.aux.(fig3World).rack, w.aux.(fig3World).cs
+	dc := w.dc
+	rack, cs := w.aux.(fig3World).rack, w.aux.(fig3World).cs
 	snap := w.snap
-	if snap == nil && SnapshotsEnabled() {
-		snap = dcS.Snapshot()
+	if snap == nil {
+		// An unpooled world (pool full, or the key checked out elsewhere)
+		// is captured here so the trio still shares one build.
+		snap = dc.Snapshot()
 	}
-	reset := func() (*cloud.Datacenter, *cloud.Rack, []*container.Container, error) {
-		if snap != nil {
-			dcS.Restore(snap)
-			snapshotRestores.Add(1)
-			return dcS, rackS, csS, nil
-		}
-		return build()
+	reset := func() {
+		dc.Restore(snap)
+		snapshotRestores.Add(1)
 	}
 	// A selective trigger: learn the background for ten minutes, then
 	// strike only when the aggregate of the monitored hosts is within 5%
@@ -169,26 +159,20 @@ func fig3WithSeed(seed int64, spec chaos.Spec) (*Fig3Result, error) {
 	cfg.TriggerNearMax = 0.95
 	cfg.WarmupSeconds = 600
 	cfg.CooldownSeconds = 240
-	syn, err := attack.RunSynergistic(dcS, rackS, csS, cfg, 3000)
+	syn, err := attack.RunSynergistic(dc, rack, cs, cfg, 3000)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig 3 synergistic: %w", err)
 	}
 
-	dcP, rackP, csP, err := reset()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig 3 rebuild: %w", err)
-	}
-	per := attack.RunPeriodic(dcP, rackP, csP, attack.DefaultConfig(), 3000, 300)
+	reset()
+	per := attack.RunPeriodic(dc, rack, cs, attack.DefaultConfig(), 3000, 300)
 
 	// Background-only reference for the same window.
-	dcB, rackB, _, err := reset()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig 3 background: %w", err)
-	}
+	reset()
 	var bgPeak float64
 	for t := 0; t < 3000; t++ {
-		dcB.Clock.Advance(1)
-		if w := rackB.Power(); w > bgPeak {
+		dc.Clock.Advance(1)
+		if w := rack.Power(); w > bgPeak {
 			bgPeak = w
 		}
 	}
@@ -231,23 +215,14 @@ type Fig3SweepResult struct {
 	MeanCostRatio  float64 // periodic / synergistic core-seconds
 }
 
-// Fig3Sweep repeats Fig. 3 across n seeds at the default worker count.
-func Fig3Sweep(n int) (*Fig3SweepResult, error) { return Fig3SweepWorkers(n, 0) }
-
-// Fig3SweepWorkers is Fig3Sweep with an explicit worker count (the -j of
-// cmd/powersim). Every seed builds its own trio of worlds with per-seed
-// RNGs — share-nothing by construction — so the per-seed results are
-// fanned out in parallel while the floating-point reduction below runs
-// over the ordered result slice, keeping the statistics bit-identical to
-// the serial loop at any worker count.
-func Fig3SweepWorkers(n, workers int) (*Fig3SweepResult, error) {
-	return Fig3SweepCtx(context.Background(), n, workers)
-}
-
-// Fig3SweepCtx is Fig3SweepWorkers with cooperative cancellation: a daemon
-// shutdown stops dispatching seeds instead of orphaning the sweep. A
-// background context is byte-identical to Fig3SweepWorkers.
-func Fig3SweepCtx(ctx context.Context, n, workers int) (*Fig3SweepResult, error) {
+// Fig3Sweep repeats Fig. 3 across n seeds (0 = 5). Every seed builds its
+// own trio of worlds with per-seed RNGs — share-nothing by construction —
+// so the per-seed results are fanned out over workers (the -j of
+// cmd/powersim) while the floating-point reduction below runs over the
+// ordered result slice, keeping the statistics bit-identical to the serial
+// loop at any worker count. Cancelling ctx stops dispatching seeds, so a
+// daemon shutdown does not orphan the sweep.
+func Fig3Sweep(ctx context.Context, n, workers int) (*Fig3SweepResult, error) {
 	if n <= 0 {
 		n = 5
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/chaos"
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/parallel"
@@ -29,62 +28,6 @@ type CloudInspection struct {
 	// then empty and renderers mark the provider as failed instead of
 	// aborting the whole table.
 	Err error
-}
-
-// InspectProvider implements the right half of Fig. 1 for one provider: it
-// stands up a single-server cloud with that provider's profile, launches a
-// tenant container, lets the world run briefly, and cross-validates the
-// container view against the host view.
-func InspectProvider(p cloud.ProviderProfile) (CloudInspection, error) {
-	return InspectProviderChaos(p, chaos.Spec{})
-}
-
-// InspectProviderChaos is InspectProvider with the provider's observation
-// surface armed with deterministic fault injection. The detector's quorum
-// reads absorb transient faults; flapping masks degrade findings to partial
-// rather than flipping availability outright. The zero Spec is exactly
-// InspectProvider.
-func InspectProviderChaos(p cloud.ProviderProfile, spec chaos.Spec) (CloudInspection, error) {
-	return InspectProviderSeeded(p, spec, 0)
-}
-
-// InspectAll runs the inspection across the local testbed and all five
-// commercial cloud profiles — the full Table I — using the default worker
-// count (GOMAXPROCS).
-func InspectAll() ([]CloudInspection, error) { return InspectAllWorkers(0) }
-
-// InspectAllWorkers is InspectAll with an explicit worker count (the -j of
-// cmd/leakscan). Each provider inspection builds its own datacenter from a
-// fixed seed — share-nothing worlds — so the fan-out is deterministic: the
-// result slice is always in profile order with identical content at any
-// worker count.
-//
-// Provider failures are collected, not fatal: a failed provider appears in
-// the result with Err set, and the returned error is non-nil only when
-// every provider failed.
-func InspectAllWorkers(workers int) ([]CloudInspection, error) {
-	return InspectAllChaosWorkers(chaos.Spec{}, workers)
-}
-
-// InspectAllChaosWorkers is InspectAllWorkers with every provider's
-// observation surface armed with the same fault-injection spec. Per-provider
-// fault streams are salted by hostname inside the cloud, so results remain
-// byte-identical at any worker count.
-func InspectAllChaosWorkers(spec chaos.Spec, workers int) ([]CloudInspection, error) {
-	return InspectAllSeeded(context.Background(), spec, 0, workers)
-}
-
-// InspectAllSeeded is the fully-threaded inspection sweep: every provider's
-// datacenter is built from the given seed (0 = DefaultInspectSeed) and the
-// fan-out honours ctx — cancelling it stops dispatching providers, so a
-// leaksd shutdown aborts an in-flight six-cloud sweep instead of orphaning
-// it. With a background context and seed 0 this is byte-identical to
-// InspectAllChaosWorkers.
-func InspectAllSeeded(ctx context.Context, spec chaos.Spec, seed int64, workers int) ([]CloudInspection, error) {
-	profiles := append([]cloud.ProviderProfile{cloud.LocalTestbed()}, cloud.CommercialClouds()...)
-	return inspectProfiles(ctx, profiles, workers, func(p cloud.ProviderProfile) (CloudInspection, error) {
-		return InspectProviderSeeded(p, spec, seed)
-	})
 }
 
 // inspectProfiles fans the per-provider inspections out and folds failures

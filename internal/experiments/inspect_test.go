@@ -1,14 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/cloud"
 	"repro/internal/core"
 )
 
 func TestInspectProviderCC1MasksSchedDebug(t *testing.T) {
-	ins, err := InspectProvider(cloud.CC1())
+	ins, err := InspectProviderSeeded(cloud.CC1(), chaos.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +27,7 @@ func TestInspectProviderCC1MasksSchedDebug(t *testing.T) {
 }
 
 func TestInspectProviderCC4NoRAPL(t *testing.T) {
-	ins, err := InspectProvider(cloud.CC4())
+	ins, err := InspectProviderSeeded(cloud.CC4(), chaos.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestInspectProviderCC4NoRAPL(t *testing.T) {
 }
 
 func TestInspectProviderCC5Partial(t *testing.T) {
-	ins, err := InspectProvider(cloud.CC5())
+	ins, err := InspectProviderSeeded(cloud.CC5(), chaos.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +69,11 @@ func TestInspectProviderCC5Partial(t *testing.T) {
 }
 
 func TestInspectAllCoversSixEnvironments(t *testing.T) {
-	all, err := InspectAll()
+	t1, err := Table1(context.Background(), chaos.Spec{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	all := t1.Inspections
 	if len(all) != 6 { // local + CC1..CC5
 		t.Fatalf("inspections = %d", len(all))
 	}
@@ -90,11 +93,11 @@ func TestInspectAllCoversSixEnvironments(t *testing.T) {
 }
 
 func TestDiffInspectionsDetectsPostureChange(t *testing.T) {
-	before, err := InspectProvider(cloud.LocalTestbed())
+	before, err := InspectProviderSeeded(cloud.LocalTestbed(), chaos.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := InspectProvider(cloud.CC1())
+	after, err := InspectProviderSeeded(cloud.CC1(), chaos.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

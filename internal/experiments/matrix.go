@@ -22,21 +22,13 @@ type MatrixResult struct {
 	Inspections []CloudInspection
 }
 
-// MatrixSweep runs the full matrix at the default worker count.
-func MatrixSweep() (*MatrixResult, error) { return MatrixSweepWorkers(0) }
-
-// MatrixSweepWorkers is MatrixSweep with an explicit worker count. Each
-// target is a share-nothing world, so the result is byte-identical at any
-// worker count.
-func MatrixSweepWorkers(workers int) (*MatrixResult, error) {
-	return MatrixSweepSeeded(context.Background(), chaos.Spec{}, 0, workers)
-}
-
-// MatrixSweepSeeded is the fully-threaded matrix entry point: chaos spec,
-// datacenter seed (0 = DefaultInspectSeed), context cancellation. It runs
-// as the first pass of fresh per-target sessions — all cache misses,
-// byte-identical to what a persistent MatrixSession serves warm.
-func MatrixSweepSeeded(ctx context.Context, spec chaos.Spec, seed int64, workers int) (*MatrixResult, error) {
+// MatrixSweep runs the full matrix: chaos spec, datacenter seed (0 =
+// DefaultInspectSeed), context cancellation, and a worker count over the
+// share-nothing targets, so the result is byte-identical at any worker
+// count. It runs as the first pass of fresh per-target sessions — all
+// cache misses, byte-identical to what a persistent MatrixSession serves
+// warm.
+func MatrixSweep(ctx context.Context, spec chaos.Spec, seed int64, workers int) (*MatrixResult, error) {
 	ins, err := inspectProfiles(ctx, cloud.MatrixTargets(), workers, func(p cloud.ProviderProfile) (CloudInspection, error) {
 		s, err := NewInspectSession(p, spec, seed)
 		if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,11 +10,11 @@ import (
 )
 
 func TestMatrixSweepByteIdenticalAcrossWorkers(t *testing.T) {
-	serial, err := MatrixSweepWorkers(1)
+	serial, err := MatrixSweep(context.Background(), chaos.Spec{}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel8, err := MatrixSweepWorkers(8)
+	parallel8, err := MatrixSweep(context.Background(), chaos.Spec{}, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func TestMatrixSweepByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 func TestMatrixSandboxColumnsMaskClassicChannelsOnly(t *testing.T) {
-	r, err := MatrixSweepWorkers(4)
+	r, err := MatrixSweep(context.Background(), chaos.Spec{}, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestMatrixSandboxColumnsMaskClassicChannelsOnly(t *testing.T) {
 }
 
 func TestMatrixSessionWarmSweepMatchesCold(t *testing.T) {
-	cold, err := MatrixSweepWorkers(4)
+	cold, err := MatrixSweep(context.Background(), chaos.Spec{}, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestMatrixSessionWarmSweepMatchesCold(t *testing.T) {
 }
 
 func TestMatrixNarrowAndAvailable(t *testing.T) {
-	r, err := MatrixSweepWorkers(4)
+	r, err := MatrixSweep(context.Background(), chaos.Spec{}, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestInspectRuntimeChaosWorkers(t *testing.T) {
 }
 
 func TestRuntimeDefenseScoresSandbox(t *testing.T) {
-	r, err := RuntimeDefense("gvisor", 4)
+	r, err := RuntimeDefense("gvisor", chaos.Spec{}, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestRuntimeDefenseScoresSandbox(t *testing.T) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := RuntimeDefense("lxd", 0); err == nil {
+	if _, err := RuntimeDefense("lxd", chaos.Spec{}, 0, 0); err == nil {
 		t.Fatal("unknown runtime must error")
 	}
 }

@@ -23,16 +23,11 @@ type RuntimeDefenseResult struct {
 	Sandbox  CloudInspection // the named runtime target
 }
 
-// RuntimeDefense scores the named runtime against the Docker baseline with
-// default seed and no fault injection.
-func RuntimeDefense(name string, workers int) (*RuntimeDefenseResult, error) {
-	return RuntimeDefenseSeeded(name, chaos.Spec{}, 0, workers)
-}
-
-// RuntimeDefenseSeeded is RuntimeDefense with explicit chaos spec and
-// datacenter seed (0 = DefaultInspectSeed). Both inspections run over the
-// same seed so the baseline and sandbox columns observe the same world.
-func RuntimeDefenseSeeded(name string, spec chaos.Spec, seed int64, workers int) (*RuntimeDefenseResult, error) {
+// RuntimeDefense scores the named runtime against the Docker baseline,
+// under the given chaos spec and datacenter seed (0 = DefaultInspectSeed).
+// Both inspections run over the same seed so the baseline and sandbox
+// columns observe the same world.
+func RuntimeDefense(name string, spec chaos.Spec, seed int64, workers int) (*RuntimeDefenseResult, error) {
 	prof, ok := runtimeProfile(name)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown runtime %q (one of %v)", name, runtimeNames())

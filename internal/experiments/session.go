@@ -17,7 +17,7 @@ import (
 // the same one the corresponding one-shot entry point would build — plus
 // an engine over its host mount, so repeated scans only re-render paths
 // whose kernel subsystems moved. The one-shot entry points
-// (InspectProviderSeeded, DiscoverySeeded) are now thin wrappers that
+// (InspectProviderSeeded, Discovery) are now thin wrappers that
 // create a session and run its first pass: a first pass misses every cache
 // by construction, so their output is byte-identical to the historical
 // direct core.CrossValidate path.
@@ -39,11 +39,10 @@ type InspectSession struct {
 
 // NewInspectSession builds the world InspectProviderSeeded would build
 // (seed 0 = DefaultInspectSeed) and wraps it in an incremental engine.
-// When snapshots are enabled (the default) the warmed-up world comes from
-// a per-(provider, chaos, seed) pool: the first session for a key builds
-// and captures it, later ones rewind the capture instead of re-running
-// cloud.New and the warmup ticks. Call Close when done with the session
-// so the world returns to the pool.
+// The warmed-up world comes from a per-(provider, chaos, seed) pool: the
+// first session for a key builds and captures it, later ones rewind the
+// capture instead of re-running cloud.New and the warmup ticks. Call Close
+// when done with the session so the world returns to the pool.
 func NewInspectSession(p cloud.ProviderProfile, spec chaos.Spec, seed int64) (*InspectSession, error) {
 	if seed == 0 {
 		seed = DefaultInspectSeed
@@ -126,12 +125,16 @@ func (s *InspectSession) Advance(ticks int) {
 // EngineStats exposes the session engine's cache counters.
 func (s *InspectSession) EngineStats() engine.Stats { return s.eng.Stats() }
 
-// InspectProviderSeeded is InspectProviderChaos with the datacenter seed
-// threaded through: each seed builds a different simulated world (different
-// boot ids, task mixes, counter baselines), so a scan campaign across seeds
-// measures how stable a provider's leakage posture is across hosts rather
-// than re-measuring one frozen world. Seed 0 selects DefaultInspectSeed,
-// keeping the historical byte-identical output for every existing caller.
+// InspectProviderSeeded implements the right half of Fig. 1 for one
+// provider: it stands up a single-server cloud with that provider's
+// profile, launches a tenant container, lets the world run briefly, and
+// cross-validates the container view against the host view. spec arms the
+// provider's observation surface with deterministic fault injection (the
+// detector's quorum reads absorb transient faults; the zero Spec injects
+// nothing). Each seed builds a different simulated world (different boot
+// ids, task mixes, counter baselines), so a scan campaign across seeds
+// measures how stable a provider's leakage posture is across hosts; seed 0
+// selects DefaultInspectSeed, the world behind `leakscan -table1`.
 //
 // It runs as the first pass of a fresh InspectSession: all cache misses,
 // byte-identical to the direct serial cross-validation it replaces.
@@ -154,10 +157,10 @@ type DiscoverySession struct {
 	poolKey string
 }
 
-// NewDiscoverySession builds the world DiscoverySeeded would build
+// NewDiscoverySession builds the world Discovery would build
 // (seed 0 = DefaultDiscoverySeed) and wraps it in an incremental engine.
-// Like NewInspectSession, the warmed-up world is pooled per (chaos, seed)
-// when snapshots are enabled; call Close to return it.
+// Like NewInspectSession, the warmed-up world is pooled per (chaos, seed);
+// call Close to return it.
 func NewDiscoverySession(spec chaos.Spec, seed int64) *DiscoverySession {
 	if seed == 0 {
 		seed = DefaultDiscoverySeed

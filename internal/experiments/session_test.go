@@ -80,7 +80,7 @@ func TestInspectSessionAdvanceByteIdentity(t *testing.T) {
 }
 
 func TestDiscoverySessionMatchesOneShot(t *testing.T) {
-	want, err := Discovery()
+	want, err := Discovery(context.Background(), chaos.Spec{}, 0, 0)
 	if err != nil {
 		t.Fatalf("one-shot discovery: %v", err)
 	}

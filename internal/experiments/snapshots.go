@@ -18,25 +18,9 @@ import (
 // restore contract (byte-identical continuation, see cloud.WorldState) is
 // what keeps every golden unchanged.
 
-var (
-	// snapshotsEnabled gates every restore-instead-of-rebuild path; the
-	// -snapshots=false escape hatch on the CLIs clears it.
-	snapshotsEnabled atomic.Bool
-
-	// snapshotRestores counts world restores that replaced a full rebuild
-	// (exported to leaksd as leaksd_engine_snapshot_restores_total).
-	snapshotRestores atomic.Uint64
-)
-
-func init() { snapshotsEnabled.Store(true) }
-
-// SetSnapshots toggles the world snapshot/restore fast path globally.
-// Disabled, every seed loop and session rebuilds its worlds from scratch —
-// the output is byte-identical either way; only the time differs.
-func SetSnapshots(on bool) { snapshotsEnabled.Store(on) }
-
-// SnapshotsEnabled reports whether the snapshot fast path is active.
-func SnapshotsEnabled() bool { return snapshotsEnabled.Load() }
+// snapshotRestores counts world restores that replaced a full rebuild
+// (exported to leaksd as leaksd_engine_snapshot_restores_total).
+var snapshotRestores atomic.Uint64
 
 // SnapshotRestores returns the number of world restores that replaced a
 // rebuild since process start.
@@ -73,13 +57,6 @@ func inspectPoolKey(kind, provider string, spec chaos.Spec, seed int64) string {
 // one (registered in the pool on first build). The second result is the
 // pool key to release when done — empty when the world is unpooled.
 func checkoutWorld(key string, build func() (*cloud.Datacenter, any, error)) (*pooledWorld, string, error) {
-	if !SnapshotsEnabled() {
-		dc, aux, err := build()
-		if err != nil {
-			return nil, "", err
-		}
-		return &pooledWorld{dc: dc, aux: aux}, "", nil
-	}
 	worldPoolMu.Lock()
 	w, ok := worldPool[key]
 	if ok && !w.inUse {

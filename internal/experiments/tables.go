@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/chaos"
+	"repro/internal/cloud"
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -32,32 +33,23 @@ type Table1Result struct {
 }
 
 // Table1 runs the leakage detector against the local testbed and all five
-// commercial cloud profiles at the default worker count.
-func Table1() (*Table1Result, error) { return Table1Workers(0) }
-
-// Table1Workers is Table1 with an explicit worker count: the six provider
-// datacenters are share-nothing worlds inspected in parallel, and the
-// rendered table is byte-identical at any worker count.
-func Table1Workers(workers int) (*Table1Result, error) {
-	return Table1ChaosWorkers(chaos.Spec{}, workers)
-}
-
-// Table1ChaosWorkers is Table1Workers under deterministic fault injection:
-// every provider's pseudo-file reads, energy counters, and thermal sensors
-// are perturbed at the spec's rate. The detector's quorum protocol keeps the
-// availability matrix stable at realistic fault rates; the zero Spec is
-// exactly Table1Workers.
-func Table1ChaosWorkers(spec chaos.Spec, workers int) (*Table1Result, error) {
-	return Table1Seeded(context.Background(), spec, 0, workers)
-}
-
-// Table1Seeded is the fully-threaded Table I entry point the service layer
-// (cmd/leaksd) calls: datacenter seed selection for seed-varied scan
-// campaigns (0 = DefaultInspectSeed) and context cancellation so a daemon
-// shutdown aborts the six-provider fan-out. Background context + seed 0 is
-// byte-identical to Table1ChaosWorkers.
-func Table1Seeded(ctx context.Context, spec chaos.Spec, seed int64, workers int) (*Table1Result, error) {
-	ins, err := InspectAllSeeded(ctx, spec, seed, workers)
+// commercial cloud profiles — the full Table I. Every provider's datacenter
+// is built from seed (0 = DefaultInspectSeed) with its observation surface
+// armed by spec (the zero Spec injects nothing; per-provider fault streams
+// are salted by hostname). The six provider worlds are share-nothing and
+// inspected in parallel over workers (0 = GOMAXPROCS); the result is in
+// profile order and byte-identical at any worker count. Cancelling ctx
+// stops dispatching providers, so a leaksd shutdown aborts an in-flight
+// sweep instead of orphaning it.
+//
+// Provider failures are collected, not fatal: a failed provider appears in
+// Inspections with Err set, and the returned error is non-nil only when
+// every provider failed.
+func Table1(ctx context.Context, spec chaos.Spec, seed int64, workers int) (*Table1Result, error) {
+	profiles := append([]cloud.ProviderProfile{cloud.LocalTestbed()}, cloud.CommercialClouds()...)
+	ins, err := inspectProfiles(ctx, profiles, workers, func(p cloud.ProviderProfile) (CloudInspection, error) {
+		return InspectProviderSeeded(p, spec, seed)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: table 1: %w", err)
 	}

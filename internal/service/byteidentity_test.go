@@ -22,9 +22,9 @@ func TestAPITable1ByteIdenticalToCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table I compute in -short mode")
 	}
-	// What the CLI computes: experiments.Table1ChaosWorkers(spec, jobs),
+	// What the CLI computes: experiments.Table1(ctx, spec, 0, jobs),
 	// printed with fmt.Fprintln.
-	cli, err := experiments.Table1ChaosWorkers(chaos.Spec{}, 0)
+	cli, err := experiments.Table1(context.Background(), chaos.Spec{}, 0, 0)
 	if err != nil {
 		t.Fatalf("CLI-path Table I: %v", err)
 	}

@@ -41,7 +41,7 @@ func runScanWith(ctx context.Context, req ScanRequest, pool *sessionPool) (*Scan
 		if pooled {
 			t, err = pool.table1(ctx, req.Seed, req.Workers)
 		} else {
-			t, err = experiments.Table1Seeded(ctx, spec, req.Seed, req.Workers)
+			t, err = experiments.Table1(ctx, spec, req.Seed, req.Workers)
 		}
 		if err != nil {
 			return nil, err
@@ -81,7 +81,7 @@ func runScanWith(ctx context.Context, req ScanRequest, pool *sessionPool) (*Scan
 		if pooled {
 			m, err = pool.matrix(ctx, req.Seed, req.Workers)
 		} else {
-			m, err = experiments.MatrixSweepSeeded(ctx, spec, req.Seed, req.Workers)
+			m, err = experiments.MatrixSweep(ctx, spec, req.Seed, req.Workers)
 		}
 		if err != nil {
 			return nil, err
@@ -99,7 +99,7 @@ func runScanWith(ctx context.Context, req ScanRequest, pool *sessionPool) (*Scan
 			}
 			d = pool.discovery(req.Seed, req.Workers)
 		} else {
-			d, err = experiments.DiscoverySeeded(ctx, spec, req.Seed, req.Workers)
+			d, err = experiments.Discovery(ctx, spec, req.Seed, req.Workers)
 		}
 		if err != nil {
 			return nil, err
@@ -115,7 +115,7 @@ func runScanWith(ctx context.Context, req ScanRequest, pool *sessionPool) (*Scan
 		}
 		res.Rendered = f.String()
 	case KindFig8:
-		f, err := experiments.Fig8Ctx(ctx, spec, req.Workers)
+		f, err := experiments.Fig8(ctx, spec, req.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +125,7 @@ func runScanWith(ctx context.Context, req ScanRequest, pool *sessionPool) (*Scan
 		if seed == 0 {
 			seed = 1 // the -chaosseed default; the sweep arms its own rates
 		}
-		s, err := experiments.ChaosSweepCtx(ctx, nil, seed, req.Workers)
+		s, err := experiments.ChaosSweep(ctx, nil, seed, req.Workers)
 		if err != nil {
 			return nil, err
 		}
