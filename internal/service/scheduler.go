@@ -346,7 +346,6 @@ func (s *Scheduler) runJob(job *Job) {
 	s.jobsEpoch.Add(1)
 	s.mu.Unlock()
 	s.running.Add(1)
-	defer s.running.Add(-1)
 	s.met.Inflight.With().Add(1)
 	defer s.met.Inflight.With().Add(-1)
 
@@ -386,6 +385,10 @@ func (s *Scheduler) runJob(job *Job) {
 			break // shutting down: do not burn retries on a dead world
 		}
 	}
+	// Quiesce before finish marks the job terminal: a client that has
+	// seen the job done must find /v1/engine cacheable again (run has
+	// already bumped engineEpoch).
+	s.running.Add(-1)
 	s.finish(job, res, err)
 }
 
