@@ -2,7 +2,6 @@ package defense
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/kernel"
 	"repro/internal/pseudofs"
@@ -39,13 +38,10 @@ func ApplyStatisticsFixes(fs *pseudofs.FS) {
 	// /proc/stat: per-cgroup CPU accounting. The container sees exactly
 	// its quota's worth of CPUs, its own cpuacct-derived busy time, and a
 	// btime matching its own (namespaced) boot.
-	// The stage-3 handlers run only on defended hosts outside the
-	// measurement hot loop, so they keep their fmt-based renderers behind
-	// the StringHandler compat shim rather than the append fast path.
-	fs.Replace("/proc/stat", pseudofs.StringHandler(func(v pseudofs.View) (string, error) {
+	fs.Replace("/proc/stat", func(dst []byte, v pseudofs.View) ([]byte, error) {
 		ns := nsOf(v)
 		if ns.IsInit() {
-			return renderHostStat(k), nil
+			return appendHostStat(dst, k), nil
 		}
 		cg := k.Cgroup(v.CgroupPath)
 		cores := float64(k.Options().Cores)
@@ -59,28 +55,28 @@ func ApplyStatisticsFixes(fs *pseudofs.FS) {
 		if idleTicks < 0 {
 			idleTicks = 0
 		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "cpu  %d 0 %d %d 0 0 0 0 0 0\n",
+		dst = fmt.Appendf(dst, "cpu  %d 0 %d %d 0 0 0 0 0 0\n",
 			int64(busyTicks*0.92), int64(busyTicks*0.08), int64(idleTicks))
 		n := int(cores + 0.999)
 		for i := 0; i < n; i++ {
-			fmt.Fprintf(&b, "cpu%d %d 0 %d %d 0 0 0 0 0 0\n", i,
+			dst = fmt.Appendf(dst, "cpu%d %d 0 %d %d 0 0 0 0 0 0\n", i,
 				int64(busyTicks*0.92/float64(n)), int64(busyTicks*0.08/float64(n)),
 				int64(idleTicks/float64(n)))
 		}
-		fmt.Fprintf(&b, "intr %d\n", int64(busyTicks*12))
-		fmt.Fprintf(&b, "ctxt %d\n", int64(busyTicks*9))
-		fmt.Fprintf(&b, "btime %d\n", k.Options().WallClockNow+int64(ns.CreatedAt))
-		fmt.Fprintf(&b, "processes %d\n", len(k.TasksInNS(ns))+2)
-		fmt.Fprintf(&b, "procs_running 1\nprocs_blocked 0\n")
-		return b.String(), nil
-	}))
+		dst = fmt.Appendf(dst, "intr %d\nctxt %d\nbtime %d\nprocesses %d\nprocs_running 1\nprocs_blocked 0\n",
+			int64(busyTicks*12), int64(busyTicks*9),
+			k.Options().WallClockNow+int64(ns.CreatedAt), len(k.TasksInNS(ns))+2)
+		return dst, nil
+	})
 
 	// /proc/meminfo: the cgroup limit is the container's world.
-	fs.Replace("/proc/meminfo", pseudofs.StringHandler(func(v pseudofs.View) (string, error) {
+	fs.Replace("/proc/meminfo", func(dst []byte, v pseudofs.View) ([]byte, error) {
 		ns := nsOf(v)
 		if ns.IsInit() {
-			return renderHostMeminfo(k), nil
+			mi := k.MeminfoSnapshot()
+			return appendMeminfo(dst, [10]uint64{mi.TotalKB, mi.FreeKB, mi.AvailableKB,
+				mi.BuffersKB, mi.CachedKB, mi.ActiveKB, mi.InactiveKB,
+				mi.SwapTotalKB, mi.SwapFreeKB, mi.DirtyKB}), nil
 		}
 		cg := k.Cgroup(v.CgroupPath)
 		limit := cg.MemLimitKB
@@ -92,29 +88,16 @@ func ApplyStatisticsFixes(fs *pseudofs.FS) {
 			used = limit
 		}
 		free := limit - used
-		var b strings.Builder
-		row := func(name string, kb uint64) {
-			fmt.Fprintf(&b, "%-16s%8d kB\n", name+":", kb)
-		}
-		row("MemTotal", limit)
-		row("MemFree", free)
-		row("MemAvailable", free)
-		row("Buffers", 0)
-		row("Cached", used/8)
-		row("Active", used*6/10)
-		row("Inactive", used*3/10)
-		row("SwapTotal", 0)
-		row("SwapFree", 0)
-		row("Dirty", 0)
-		return b.String(), nil
-	}))
+		return appendMeminfo(dst, [10]uint64{limit, free, free,
+			0, used / 8, used * 6 / 10, used * 3 / 10, 0, 0, 0}), nil
+	})
 
 	// /proc/loadavg: the container's own run queue.
-	fs.Replace("/proc/loadavg", pseudofs.StringHandler(func(v pseudofs.View) (string, error) {
+	fs.Replace("/proc/loadavg", func(dst []byte, v pseudofs.View) ([]byte, error) {
 		ns := nsOf(v)
 		if ns.IsInit() {
 			la := k.LoadAvgSnapshot()
-			return fmt.Sprintf("%.2f %.2f %.2f %d/%d %d\n",
+			return fmt.Appendf(dst, "%.2f %.2f %.2f %d/%d %d\n",
 				la.Load1, la.Load5, la.Load15, la.Runnable, la.Total, la.LastPID), nil
 		}
 		demand := k.CgroupDemandCores(v.CgroupPath)
@@ -129,17 +112,16 @@ func ApplyStatisticsFixes(fs *pseudofs.FS) {
 				maxPID = t.NSPID
 			}
 		}
-		return fmt.Sprintf("%.2f %.2f %.2f %d/%d %d\n",
+		return fmt.Appendf(dst, "%.2f %.2f %.2f %d/%d %d\n",
 			demand, demand, demand, running, len(tasks), maxPID), nil
-	}))
+	})
 }
 
-// renderHostStat re-renders the global /proc/stat for the init view (the
+// appendHostStat re-renders the global /proc/stat for the init view (the
 // original handler is being replaced wholesale, so the host path must be
 // regenerated here).
-func renderHostStat(k *kernel.Kernel) string {
+func appendHostStat(dst []byte, k *kernel.Kernel) []byte {
 	s := k.StatSnapshot()
-	var b strings.Builder
 	var tot [7]float64
 	for _, c := range s.PerCPU {
 		tot[0] += c.User
@@ -150,35 +132,26 @@ func renderHostStat(k *kernel.Kernel) string {
 		tot[5] += c.IRQ
 		tot[6] += c.SoftIRQ
 	}
-	fmt.Fprintf(&b, "cpu  %d %d %d %d %d %d %d 0 0 0\n",
+	dst = fmt.Appendf(dst, "cpu  %d %d %d %d %d %d %d 0 0 0\n",
 		int64(tot[0]), int64(tot[1]), int64(tot[2]), int64(tot[3]),
 		int64(tot[4]), int64(tot[5]), int64(tot[6]))
 	for i, c := range s.PerCPU {
-		fmt.Fprintf(&b, "cpu%d %d %d %d %d %d %d %d 0 0 0\n", i,
+		dst = fmt.Appendf(dst, "cpu%d %d %d %d %d %d %d %d 0 0 0\n", i,
 			int64(c.User), int64(c.Nice), int64(c.System), int64(c.Idle),
 			int64(c.IOWait), int64(c.IRQ), int64(c.SoftIRQ))
 	}
-	fmt.Fprintf(&b, "intr %d\nctxt %d\nbtime %d\nprocesses %d\nprocs_running %d\nprocs_blocked 0\n",
+	return fmt.Appendf(dst, "intr %d\nctxt %d\nbtime %d\nprocesses %d\nprocs_running %d\nprocs_blocked 0\n",
 		s.IntrTotal, s.CtxtSwitches, s.BootTime, s.Processes, s.ProcsRunning)
-	return b.String()
 }
 
-// renderHostMeminfo re-renders the global /proc/meminfo for the init view.
-func renderHostMeminfo(k *kernel.Kernel) string {
-	mi := k.MeminfoSnapshot()
-	var b strings.Builder
-	row := func(name string, kb uint64) {
-		fmt.Fprintf(&b, "%-16s%8d kB\n", name+":", kb)
+// meminfoRows are the /proc/meminfo rows stage 3 renders, in file order.
+var meminfoRows = [10]string{"MemTotal:", "MemFree:", "MemAvailable:", "Buffers:",
+	"Cached:", "Active:", "Inactive:", "SwapTotal:", "SwapFree:", "Dirty:"}
+
+// appendMeminfo renders one value per meminfoRows entry, in kB.
+func appendMeminfo(dst []byte, kb [10]uint64) []byte {
+	for i, name := range meminfoRows {
+		dst = fmt.Appendf(dst, "%-16s%8d kB\n", name, kb[i])
 	}
-	row("MemTotal", mi.TotalKB)
-	row("MemFree", mi.FreeKB)
-	row("MemAvailable", mi.AvailableKB)
-	row("Buffers", mi.BuffersKB)
-	row("Cached", mi.CachedKB)
-	row("Active", mi.ActiveKB)
-	row("Inactive", mi.InactiveKB)
-	row("SwapTotal", mi.SwapTotalKB)
-	row("SwapFree", mi.SwapFreeKB)
-	row("Dirty", mi.DirtyKB)
-	return b.String()
+	return dst
 }

@@ -109,7 +109,7 @@ func TestPathEpochMovesOnReplaceAndProviderSwap(t *testing.T) {
 	const path = "/proc/uptime"
 	before := fs.PathEpoch(path)
 	other := fs.PathEpoch("/proc/stat")
-	fs.Replace(path, StringHandler(func(v View) (string, error) { return "0.00 0.00\n", nil }))
+	fs.Replace(path, func(dst []byte, _ View) ([]byte, error) { return append(dst, "0.00 0.00\n"...), nil })
 	if got := fs.PathEpoch(path); got <= before {
 		t.Errorf("Replace did not move %s epoch: %d -> %d", path, before, got)
 	}

@@ -69,20 +69,6 @@ func HostView(k *kernel.Kernel) View {
 // content unspecified — callers must discard it.
 type Handler func(dst []byte, v View) ([]byte, error)
 
-// StringHandler adapts a legacy string-returning renderer to the append
-// Handler signature. It keeps one allocation per render (the string), so
-// use it only off the hot path — e.g. defense fixes built around
-// namespace-aware accessors that were written before the append migration.
-func StringHandler(h func(v View) (string, error)) Handler {
-	return func(dst []byte, v View) ([]byte, error) {
-		s, err := h(v)
-		if err != nil {
-			return dst, err
-		}
-		return append(dst, s...), nil
-	}
-}
-
 // EnergyProvider supplies the content of the RAPL energy_uj files. The
 // default provider returns the host meter's counters to every reader — the
 // leak of Case Study II. The power-based namespace (internal/powerns)

@@ -354,7 +354,7 @@ func TestProcSelfNSIdentifiers(t *testing.T) {
 
 func TestReplaceSwapsHandlerAndPanicsOnUnknown(t *testing.T) {
 	k, fs := newHost(19)
-	fs.Replace("/proc/uptime", StringHandler(func(View) (string, error) { return "patched\n", nil }))
+	fs.Replace("/proc/uptime", func(dst []byte, _ View) ([]byte, error) { return append(dst, "patched\n"...), nil })
 	m := NewMount(fs, HostView(k), Policy{})
 	if got := mustRead(t, m, "/proc/uptime"); got != "patched\n" {
 		t.Fatalf("replace ineffective: %q", got)
