@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check lint fmt vet build test race fuzz bench bench-full bench-json bench-guard profile chaos chaos-sweep clean
+.PHONY: check lint fmt vet build test race fuzz perfbench-check bench bench-full bench-json bench-guard profile chaos chaos-sweep clean
 
 check: fmt vet build race
 
@@ -42,6 +42,12 @@ fuzz:
 			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s $$dir; \
 		done; \
 	done
+
+# The benchmark harness under perfbench/ is its own module (it replaces
+# repro with ../), so `go test ./...` above never compiles it. Vet and
+# test it against the current tree; writes no files.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Chaos smoke: the three pipelines under deterministic fault injection at
 # the paper-scale 2% rate with a fixed seed. Must complete and keep shape
