@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
+	"repro/internal/chaos"
 	"repro/internal/cloud"
 	"repro/internal/container"
 	"repro/internal/core"
@@ -28,7 +29,7 @@ type AblationCalibrationResult struct {
 
 // AblationCalibration quantifies what the calibration step buys: the same
 // trained model, evaluated on the SPEC subset with and without Formula 3.
-// Each measureXiCalibrated call builds its own kernel and only reads the
+// Each measureXi call builds its own kernel and only reads the
 // shared trained model (immutable after Train), so the per-benchmark on/off
 // pairs fan out over workers as share-nothing rows, in benchmark order.
 func AblationCalibration(workers int) (*AblationCalibrationResult, error) {
@@ -46,11 +47,11 @@ func AblationCalibration(workers int) (*AblationCalibrationResult, error) {
 			XiCalibrated   float64
 			XiUncalibrated float64
 		}
-		on, err := measureXiCalibrated(model, prof, true)
+		on, err := measureXi(model, prof, true, chaos.Spec{})
 		if err != nil {
 			return row, err
 		}
-		off, err := measureXiCalibrated(model, prof, false)
+		off, err := measureXi(model, prof, false, chaos.Spec{})
 		if err != nil {
 			return row, err
 		}

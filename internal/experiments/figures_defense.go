@@ -153,7 +153,7 @@ func Fig8(ctx context.Context, spec chaos.Spec, workers int) (*Fig8Result, error
 		return nil, fmt.Errorf("experiments: fig 8 train: %w", err)
 	}
 	rows, err := parallel.MapCtx(ctx, workers, workload.SPECSubset(), func(_ context.Context, _ int, prof workload.Profile) (Fig8Row, error) {
-		xi, err := measureXiChaos(model, prof, true, spec)
+		xi, err := measureXi(model, prof, true, spec)
 		if err != nil {
 			return Fig8Row{}, fmt.Errorf("experiments: fig 8 %s: %w", prof.Name, err)
 		}
@@ -178,15 +178,9 @@ func Fig8(ctx context.Context, spec chaos.Spec, workers int) (*Fig8Result, error
 //	ξ = |(E_RAPL − Δdiff) − M_container| / (E_RAPL − Δdiff),
 //
 // where Δdiff is the host's measured baseline (idle + daemons) energy.
-func measureXi(model *powerns.Model, prof workload.Profile) (float64, error) {
-	return measureXiChaos(model, prof, true, chaos.Spec{})
-}
-
-func measureXiCalibrated(model *powerns.Model, prof workload.Profile, calibrate bool) (float64, error) {
-	return measureXiChaos(model, prof, calibrate, chaos.Spec{})
-}
-
-func measureXiChaos(model *powerns.Model, prof workload.Profile, calibrate bool, spec chaos.Spec) (float64, error) {
+// calibrate toggles Formula 3's on-the-fly calibration; spec perturbs the
+// namespace's calibration source.
+func measureXi(model *powerns.Model, prof workload.Profile, calibrate bool, spec chaos.Spec) (float64, error) {
 	k := kernel.New(kernel.Options{Hostname: "fig8", Seed: 88})
 	fs := pseudofs.Build(k, pseudofs.DefaultHardware())
 	rt := container.NewRuntime(k, fs, container.DockerProfile())
