@@ -24,7 +24,7 @@ type Config struct {
 	// Default 32.
 	ShardSize int
 	// ShardWorkers bounds each shard's engine fan-out on its worker
-	// (0 = serial; the cluster's parallelism is across workers).
+	// (0 = the worker's GOMAXPROCS, 1 = serial).
 	ShardWorkers int
 	// MaxAttempts bounds execution attempts per shard (1 = no retries).
 	// Default 4.

@@ -21,7 +21,7 @@ type ShardRequest struct {
 	// Containers are the fleet indices this shard validates.
 	Containers []int `json:"containers"`
 	// Workers bounds the worker-local engine fan-out for this shard
-	// (0 = serial).
+	// (0 = the worker's GOMAXPROCS, 1 = serial).
 	Workers int `json:"workers,omitempty"`
 }
 

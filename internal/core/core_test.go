@@ -106,13 +106,13 @@ func TestCrossValidateDetectsPartial(t *testing.T) {
 }
 
 func TestLineOverlap(t *testing.T) {
-	if o := lineOverlap("a\nb\n", "a\nb\nc\n"); o != 1 {
+	if o := lineOverlap([]byte("a\nb\n"), lineSet("a\nb\nc\n")); o != 1 {
 		t.Fatalf("full overlap = %g", o)
 	}
-	if o := lineOverlap("a\nx\n", "a\nb\n"); o != 0.5 {
+	if o := lineOverlap([]byte("a\nx\n"), lineSet("a\nb\n")); o != 0.5 {
 		t.Fatalf("half overlap = %g", o)
 	}
-	if o := lineOverlap("", "a\n"); o != 0 {
+	if o := lineOverlap(nil, lineSet("a\n")); o != 0 {
 		t.Fatalf("empty overlap = %g", o)
 	}
 }

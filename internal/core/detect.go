@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
+	"sync"
 
 	"repro/internal/parallel"
 	"repro/internal/pseudofs"
@@ -107,14 +109,14 @@ const (
 	readRetries = 2
 )
 
-// quorumResult summarizes quorumReads container reads of one path.
-type quorumResult struct {
-	content string // majority content among successful reads (first-seen tie-break)
-	agree   int    // successful reads returning the majority content
-	ok      int    // successful reads
-	denied  int    // reads failing with ErrDenied
-	absent  int    // reads failing with ErrNotExist
-	failed  int    // reads failing persistently any other way
+// Evidence is what the container-context reads of one path established.
+// Content is the majority content among the successful reads (first-seen
+// tie-break); OK counts the successful reads, Agree those that returned
+// Content, and Denied the reads refused by policy. Reads that failed any
+// other way (absent files, dead sensors) count in none of them.
+type Evidence struct {
+	Content           []byte
+	OK, Agree, Denied int
 }
 
 // readRetry reads path through m, retrying transient failures up to
@@ -132,67 +134,81 @@ func readRetry(m *pseudofs.Mount, path string) (string, error) {
 	}
 }
 
-// quorumRead performs the k-read protocol for one path.
-func quorumRead(m *pseudofs.Mount, path string) quorumResult {
-	var q quorumResult
+// QuorumEvidence performs the k-read protocol for one path: quorumReads
+// container reads, each retrying transient failures.
+func QuorumEvidence(m *pseudofs.Mount, path string) Evidence {
+	var ev Evidence
 	counts := make(map[string]int, quorumReads)
 	order := make([]string, 0, quorumReads)
 	for i := 0; i < quorumReads; i++ {
 		data, err := readRetry(m, path)
 		switch {
 		case err == nil:
-			q.ok++
+			ev.OK++
 			if counts[data] == 0 {
 				order = append(order, data)
 			}
 			counts[data]++
 		case errors.Is(err, pseudofs.ErrDenied):
-			q.denied++
-		case errors.Is(err, pseudofs.ErrNotExist):
-			q.absent++
-		default:
-			q.failed++
+			ev.Denied++
 		}
 	}
+	var majority string
 	for _, c := range order {
-		if counts[c] > q.agree {
-			q.content, q.agree = c, counts[c]
+		if counts[c] > ev.Agree {
+			majority, ev.Agree = c, counts[c]
 		}
 	}
-	return q
+	ev.Content = []byte(majority)
+	return ev
 }
 
-// HostRead supplies host-context content for one path during validation.
-// The default implementation is HostReader (a retrying read of the host
-// mount); the incremental engine injects a caching reader instead so one
-// host render is shared across every container of a fleet pass.
-//
-// Contract: a HostRead must be equivalent to HostReader(host) — same
-// content, same error classification — whenever it is invoked. ValidatePath
-// only consults it after the container quorum agreed on non-empty content,
-// so implementations never see volatile paths (the quorum disagrees on
-// those first).
-type HostRead func(path string) (string, error)
-
-// HostReader returns the plain HostRead over a host mount: one policied
-// read with transient-failure retries.
-func HostReader(host *pseudofs.Mount) HostRead {
-	return func(path string) (string, error) { return readRetry(host, path) }
-}
-
-// ValidatePath cross-validates a single path: quorum-read it in the
-// container context, and — only when the quorum agrees on non-empty
-// content — compare against the host content supplied by hostRead. It is
-// validateOne with the host read injected, exported for the incremental
-// engine.
-func ValidatePath(hostRead HostRead, cont *pseudofs.Mount, path string) Finding {
-	f := Finding{Path: path}
-	cq := quorumRead(cont, path)
+// ReadEvidence is the evidence of one container read. On a fault-free FS
+// it is exactly what the quorum establishes for any path whose render is
+// pure (not pseudofs.Dep.Volatile): no read fails transiently and no mask
+// flaps, so reads two and three repeat read one. The incremental engine
+// classifies from it instead of paying three renders per path.
+func ReadEvidence(content []byte, err error) Evidence {
 	switch {
-	case cq.ok == 0 && cq.denied > 0:
+	case err == nil:
+		return Evidence{Content: content, OK: 1, Agree: 1}
+	case errors.Is(err, pseudofs.ErrDenied):
+		return Evidence{Denied: 1}
+	default:
+		return Evidence{}
+	}
+}
+
+// HostContent is one host-context render of a path, prepared for
+// comparison. The incremental engine shares one HostContent among every
+// container compared against the same host epoch, so its line set is
+// built at most once however many containers diverge from it.
+type HostContent struct {
+	Data string
+	Err  error
+
+	linesOnce sync.Once
+	lines     map[string]struct{}
+}
+
+// overlap returns the fraction of non-empty container lines that appear
+// verbatim in the host content.
+func (h *HostContent) overlap(cont []byte) float64 {
+	h.linesOnce.Do(func() { h.lines = lineSet(h.Data) })
+	return lineOverlap(cont, h.lines)
+}
+
+// Classify turns container evidence into the finding for one path — the
+// single place the cross-validation verdict is decided. host supplies the
+// host-context content; it is called at most once, and only when the
+// evidence agrees on non-empty content, so it never sees a volatile path.
+func Classify(path string, ev Evidence, host func() *HostContent) Finding {
+	f := Finding{Path: path}
+	switch {
+	case ev.OK == 0 && ev.Denied > 0:
 		f.Status = Masked
 		return f
-	case cq.ok == 0:
+	case ev.OK == 0:
 		// Absent, or persistently unreadable (a dead sensor path reads the
 		// same as missing hardware from inside the container).
 		f.Status = Absent
@@ -203,17 +219,16 @@ func ValidatePath(hostRead HostRead, cont *pseudofs.Mount, path string) Finding 
 	// equality is undecidable by content diffing. A single transient glitch
 	// no longer lands here: torn and stale reads are outvoted by the
 	// majority, and failed reads were already retried.
-	if cq.ok >= 2 && cq.agree < 2 {
+	if ev.OK >= 2 && ev.Agree < 2 {
 		f.Status = Volatile
 		return f
 	}
-	cData := cq.content
-	if cData == "" {
+	if len(ev.Content) == 0 {
 		f.Status = Masked // bind-mounted empty file
 		return f
 	}
-	hData, hErr := hostRead(path)
-	if hErr != nil {
+	h := host()
+	if h.Err != nil {
 		// Readable in the container but not on the host can only be a
 		// harness inconsistency; treat as namespaced.
 		f.Status = Namespaced
@@ -222,8 +237,8 @@ func ValidatePath(hostRead HostRead, cont *pseudofs.Mount, path string) Finding 
 	// A denied/ok mix means the mask flapped mid-quorum: the channel is
 	// readable but unreliably so. Degrade an identical match to Partial
 	// instead of reporting a hard leak (or erroring out).
-	flapped := cq.denied > 0
-	if cData == hData {
+	flapped := ev.Denied > 0
+	if string(ev.Content) == h.Data {
 		f.Overlap = 1
 		if flapped {
 			f.Status = Partial
@@ -232,7 +247,7 @@ func ValidatePath(hostRead HostRead, cont *pseudofs.Mount, path string) Finding 
 		}
 		return f
 	}
-	f.Overlap = lineOverlap(cData, hData)
+	f.Overlap = h.overlap(ev.Content)
 	if f.Overlap >= 0.99 {
 		f.Status = Partial
 	} else {
@@ -241,28 +256,42 @@ func ValidatePath(hostRead HostRead, cont *pseudofs.Mount, path string) Finding 
 	return f
 }
 
-// validateOne is the classic host-mount entry point used by the serial and
-// worker-pool sweeps.
+// validateOne is the reference validation of one path: quorum-read it in
+// the container context and compare against one retrying host read.
 func validateOne(host, cont *pseudofs.Mount, path string) Finding {
-	return ValidatePath(HostReader(host), cont, path)
+	return Classify(path, QuorumEvidence(cont, path), func() *HostContent {
+		data, err := readRetry(host, path)
+		return &HostContent{Data: data, Err: err}
+	})
 }
 
-// lineOverlap returns the fraction of non-empty container lines that appear
-// verbatim in the host content.
-func lineOverlap(cont, host string) float64 {
-	hostLines := make(map[string]bool)
-	for _, l := range strings.Split(host, "\n") {
+// lineSet returns the set of non-empty lines of s.
+func lineSet(s string) map[string]struct{} {
+	set := make(map[string]struct{})
+	for _, l := range strings.Split(s, "\n") {
 		if l != "" {
-			hostLines[l] = true
+			set[l] = struct{}{}
 		}
 	}
+	return set
+}
+
+// lineOverlap returns the fraction of non-empty container lines that are
+// members of the host line set. It allocates nothing.
+func lineOverlap(cont []byte, host map[string]struct{}) float64 {
 	var total, hit int
-	for _, l := range strings.Split(cont, "\n") {
-		if l == "" {
+	for len(cont) > 0 {
+		var l []byte
+		if i := bytes.IndexByte(cont, '\n'); i >= 0 {
+			l, cont = cont[:i], cont[i+1:]
+		} else {
+			l, cont = cont, nil
+		}
+		if len(l) == 0 {
 			continue
 		}
 		total++
-		if hostLines[l] {
+		if _, ok := host[string(l)]; ok {
 			hit++
 		}
 	}

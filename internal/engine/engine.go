@@ -12,33 +12,52 @@
 // re-validated only when its source epoch moved; everything else is served
 // from cache, byte-identical to what a cold scan would produce.
 //
-// Two cache layers:
+// Cache layout. The FS path set is sealed at pseudofs.Build, so every
+// cache is a slice indexed by a path's position in that sorted set:
 //
-//   - Finding cache, keyed (container mount, path, epoch): the full
-//     cross-validation verdict for one path in one container context.
-//   - Host render cache, keyed (path, epoch) with once-per-epoch
-//     semantics: during a fleet pass over N containers, the host-side
-//     content of each path is rendered exactly once and shared across all
-//     N validations instead of being re-read per (host, container) pair.
+//   - Finding slabs, one per container mount: slot i holds the verdict for
+//     path i and the source epoch it was computed at.
+//   - Host entries, one slot per path, once-per-epoch: during a fleet pass
+//     over N containers, the host-side content of each path is rendered at
+//     most once and shared by all N validations, together with its line
+//     set for the overlap measure, built at most once.
+//
+// A pass computes every path's source epoch once and refreshes stale host
+// entries under the engine lock before it fans out. Fleet passes fan out
+// by container; a pass holds its container's slab lock while it fills the
+// slab, so concurrent passes over one container (a duplicated shard
+// delivery) serialize instead of racing.
+//
+// One read per pure path. core.CrossValidate reads every path three times
+// in the container context and takes a majority, because under fault
+// injection a single read proves nothing. On a fault-free FS the extra
+// reads cannot differ: only chaos injectors fail transiently or flap a
+// mask, and renders are pure while the clock is paused. So a re-validation
+// classifies from a single container read (core.ReadEvidence) through the
+// same classifier core uses (core.Classify). Only paths tagged
+// pseudofs.Dep.Volatile (random/uuid) keep the full quorum, which both
+// detects their volatility and keeps the uuid generator's draws
+// identical. core keeps the quorum for every path: it is the chaos path
+// and the reference oracle the engine is differentially tested against.
 //
 // Byte-identity guarantee: at any epoch, Validate returns exactly what
 // core.CrossValidate would return on the same mounts at the same instant.
 // This rests on three invariants: (1) pseudo-file renders are pure for a
-// fixed view while the clock is paused, (2) dependency tags are
-// conservative — a mutation may dirty more paths than it changed but never
-// fewer, and (3) volatile paths (random/uuid) are classified by the
+// fixed view while the clock is paused, unless tagged volatile, (2)
+// dependency tags are conservative — a mutation may dirty more paths than
+// it changed but never fewer, and (3) volatile paths are classified by the
 // container quorum before the host read, so their content is never cached.
 //
 // Chaos bypass: a fault injector (internal/chaos) consumes per-read
 // randomness, so skipping reads would change every subsequent fault
 // decision. When the FS carries an injector the engine disables itself and
-// delegates to the uncached sweep — chaos runs pay full cost by design.
+// delegates to the uncached quorum sweep — chaos runs pay full cost by
+// design.
 //
 // Concurrency: the engine is safe for concurrent use, but the determinism
 // contract is the same as core's — run passes while the simulation clock
-// is paused. Within a pass, per-path work fans out over internal/parallel
-// and results keep path order, so output is byte-identical at any worker
-// count.
+// is paused. Results keep path order, so output is byte-identical at any
+// worker count.
 package engine
 
 import (
@@ -54,14 +73,16 @@ import (
 // Engine is an incremental cross-validation engine over one host mount.
 // Create with New; validate container mounts of the same FS against it.
 type Engine struct {
-	host *pseudofs.Mount
-	fs   *pseudofs.FS
+	host     *pseudofs.Mount
+	fs       *pseudofs.FS
+	paths    []string // the FS's sealed path set, in path order
+	volatile []bool   // pseudofs.Dep(path).Volatile, by path index
 
-	mu       sync.Mutex
-	findings map[findingKey]findingEntry
-	hostc    map[string]*hostEntry
+	mu    sync.Mutex
+	slabs map[*pseudofs.Mount]*slab
+	hostc []*hostEntry // by path index; nil until a pass first needs it
 
-	// Counters (atomic: a pass fans out over many goroutines).
+	// Counters (atomic: passes run concurrently).
 	passes         atomic.Uint64
 	bypassedPasses atomic.Uint64
 	findingHits    atomic.Uint64
@@ -70,33 +91,64 @@ type Engine struct {
 	hostRenders    atomic.Uint64
 }
 
-type findingKey struct {
-	cont *pseudofs.Mount
-	path string
+// slab is one container mount's finding cache, indexed by path position.
+// A pass holds mu while it fills the slab.
+type slab struct {
+	mu      sync.Mutex
+	entries []findingEntry
+	cached  atomic.Int64 // filled entries, for Stats without mu
 }
 
 type findingEntry struct {
-	epoch uint64
-	f     core.Finding
+	epoch  uint64
+	filled bool
+	f      core.Finding
 }
 
 // hostEntry renders host content for one path exactly once per epoch.
 type hostEntry struct {
-	epoch   uint64
-	once    sync.Once
-	content string
-	err     error
+	epoch    uint64
+	once     sync.Once
+	rendered atomic.Bool
+	content  core.HostContent
 }
+
+// pass is one validation pass's view of the caches: every path's source
+// epoch and current host entry, taken once under the engine lock, and the
+// slab of each container the pass validates.
+type pass struct {
+	epochs []uint64
+	hosts  []*hostEntry
+	slabs  []*slab
+}
+
+// tally accumulates one goroutine's counter increments, so the shared
+// atomic counters are touched once per container instead of per path.
+type tally struct {
+	hits, misses, hostHits, hostRenders uint64
+}
+
+// bufPool holds container-read buffers; a fault-free read appends into
+// one and is compared in place, so a container read allocates nothing.
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // New creates an engine over the given host-context mount. The mount
 // should be dedicated to the engine (mounts are cheap; see
 // cloud.Server.HostMount).
 func New(host *pseudofs.Mount) *Engine {
+	fs := host.FS()
+	paths := fs.Paths()
+	volatile := make([]bool, len(paths))
+	for i, p := range paths {
+		volatile[i] = fs.Dep(p).Volatile
+	}
 	return &Engine{
 		host:     host,
-		fs:       host.FS(),
-		findings: make(map[findingKey]findingEntry),
-		hostc:    make(map[string]*hostEntry),
+		fs:       fs,
+		paths:    paths,
+		volatile: volatile,
+		slabs:    make(map[*pseudofs.Mount]*slab),
+		hostc:    make([]*hostEntry, len(paths)),
 	}
 }
 
@@ -115,36 +167,16 @@ func (e *Engine) Validate(cont *pseudofs.Mount) []core.Finding {
 // (workers <= 0 selects GOMAXPROCS). Results keep path order, so output is
 // byte-identical at any worker count.
 func (e *Engine) ValidateWorkers(cont *pseudofs.Mount, workers int) []core.Finding {
-	e.checkFS(cont)
-	if e.fs.Faulty() {
-		// Chaos bypass: cached (skipped) reads would desynchronize the
-		// injector's per-read fault streams. Delegate to the uncached
-		// sweep and leave every cache untouched.
-		e.bypassedPasses.Add(1)
-		return core.CrossValidateWorkers(e.host, cont, workers)
-	}
-	e.passes.Add(1)
-	paths := cont.Paths()
-	if parallel.Workers(workers) == 1 || len(paths) < 2 {
-		out := make([]core.Finding, 0, len(paths))
-		for _, p := range paths {
-			out = append(out, e.validatePath(cont, p))
-		}
-		return out
-	}
-	out, _ := parallel.Map(workers, paths, func(_ int, p string) (core.Finding, error) {
-		return e.validatePath(cont, p), nil
-	})
-	return out
+	return e.FleetValidate([]*pseudofs.Mount{cont}, workers)[0]
 }
 
 // FleetValidate validates many container mounts in one batched pass,
-// fanning the (container, path) pairs out over one worker pool. The host
-// render cache guarantees each host-side read is performed at most once
-// per pass and shared across all containers, instead of once per
-// (host, container) pair as the naive loop would. Results are returned per
-// container, in input order, each in path order — byte-identical to
-// calling core.CrossValidate per container.
+// fanning the containers out over one worker pool (a single container fans
+// out by path instead). The host render cache guarantees each host-side
+// read is performed at most once per epoch and shared across all
+// containers, instead of once per (host, container) pair as the naive loop
+// would. Results are returned per container, in input order, each in path
+// order — byte-identical to calling core.CrossValidate per container.
 func (e *Engine) FleetValidate(conts []*pseudofs.Mount, workers int) [][]core.Finding {
 	for _, c := range conts {
 		e.checkFS(c)
@@ -163,89 +195,131 @@ func (e *Engine) FleetValidate(conts []*pseudofs.Mount, workers int) [][]core.Fi
 		return out
 	}
 	e.passes.Add(1)
-	type pair struct {
-		ci   int
-		path string
+	p := e.begin(conts)
+	if len(conts) == 1 {
+		return [][]core.Finding{e.validate(conts[0], p, 0, workers)}
 	}
-	var pairs []pair
-	counts := make([]int, len(conts))
-	for ci, c := range conts {
-		ps := c.Paths()
-		counts[ci] = len(ps)
-		for _, p := range ps {
-			pairs = append(pairs, pair{ci, p})
-		}
-	}
-	var flat []core.Finding
-	if parallel.Workers(workers) == 1 || len(pairs) < 2 {
-		flat = make([]core.Finding, 0, len(pairs))
-		for _, pr := range pairs {
-			flat = append(flat, e.validatePath(conts[pr.ci], pr.path))
-		}
-	} else {
-		flat, _ = parallel.Map(workers, pairs, func(_ int, pr pair) (core.Finding, error) {
-			return e.validatePath(conts[pr.ci], pr.path), nil
-		})
-	}
-	out := make([][]core.Finding, len(conts))
-	off := 0
-	for ci, n := range counts {
-		out[ci] = flat[off : off+n : off+n]
-		off += n
-	}
+	out, _ := parallel.Map(workers, conts, func(ci int, c *pseudofs.Mount) ([]core.Finding, error) {
+		return e.validate(c, p, ci, 1), nil
+	})
 	return out
 }
 
-// validatePath returns the finding for one (container, path), from cache
-// when the path's source epoch is unchanged.
-func (e *Engine) validatePath(cont *pseudofs.Mount, path string) core.Finding {
-	epoch := e.fs.PathEpoch(path)
-	key := findingKey{cont, path}
-
-	e.mu.Lock()
-	if ent, ok := e.findings[key]; ok && ent.epoch == epoch {
-		e.mu.Unlock()
-		e.findingHits.Add(1)
-		return ent.f
+// begin starts a pass: under the engine lock it computes each path's
+// source epoch, replaces the host entries of paths whose epoch moved, and
+// resolves (creating on first sight) each container's slab.
+func (e *Engine) begin(conts []*pseudofs.Mount) *pass {
+	p := &pass{
+		epochs: make([]uint64, len(e.paths)),
+		hosts:  make([]*hostEntry, len(e.paths)),
+		slabs:  make([]*slab, len(conts)),
 	}
-	e.mu.Unlock()
-
-	e.findingMisses.Add(1)
-	f := core.ValidatePath(e.hostRead(path, epoch), cont, path)
-
 	e.mu.Lock()
-	e.findings[key] = findingEntry{epoch: epoch, f: f}
-	e.mu.Unlock()
-	return f
+	defer e.mu.Unlock()
+	for i, path := range e.paths {
+		ep := e.fs.PathEpoch(path)
+		h := e.hostc[i]
+		if h == nil || h.epoch != ep {
+			h = &hostEntry{epoch: ep}
+			e.hostc[i] = h
+		}
+		p.epochs[i], p.hosts[i] = ep, h
+	}
+	for ci, c := range conts {
+		s := e.slabs[c]
+		if s == nil {
+			s = &slab{entries: make([]findingEntry, len(e.paths))}
+			e.slabs[c] = s
+		}
+		p.slabs[ci] = s
+	}
+	return p
 }
 
-// hostRead returns a core.HostRead that serves the host content of path
-// from the per-epoch render cache, rendering at most once per epoch even
-// when many container validations of a fleet pass request it concurrently.
-func (e *Engine) hostRead(path string, epoch uint64) core.HostRead {
-	return func(p string) (string, error) {
-		// ValidatePath only reads its own path; guard anyway.
-		if p != path {
-			return core.HostReader(e.host)(p)
+// validate fills cont's slab (the pass's slab ci) under the slab lock and
+// returns cont's findings in path order, fanning out by path when workers
+// allows.
+func (e *Engine) validate(cont *pseudofs.Mount, p *pass, ci, workers int) []core.Finding {
+	s := p.slabs[ci]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if parallel.Workers(workers) == 1 {
+		var t tally
+		out := make([]core.Finding, len(e.paths))
+		bp := bufPool.Get().(*[]byte)
+		for i := range out {
+			out[i], *bp = e.fill(cont, s, p, i, *bp, &t)
 		}
-		e.mu.Lock()
-		ent, ok := e.hostc[p]
-		if !ok || ent.epoch != epoch {
-			ent = &hostEntry{epoch: epoch}
-			e.hostc[p] = ent
-		}
-		e.mu.Unlock()
-		hit := true
-		ent.once.Do(func() {
-			hit = false
-			e.hostRenders.Add(1)
-			ent.content, ent.err = core.HostReader(e.host)(p)
-		})
-		if hit {
-			e.hostHits.Add(1)
-		}
-		return ent.content, ent.err
+		bufPool.Put(bp)
+		e.record(t)
+		return out
 	}
+	out, _ := parallel.Map(workers, e.paths, func(i int, _ string) (core.Finding, error) {
+		var t tally
+		bp := bufPool.Get().(*[]byte)
+		f, b := e.fill(cont, s, p, i, *bp, &t)
+		*bp = b
+		bufPool.Put(bp)
+		e.record(t)
+		return f, nil
+	})
+	return out
+}
+
+// fill returns the finding for path i of one container, from its slab slot
+// when the path's source epoch is unchanged, else re-validating it and
+// storing the result. buf is scratch for the container read; the possibly
+// grown buffer is returned for reuse.
+func (e *Engine) fill(cont *pseudofs.Mount, s *slab, p *pass, i int, buf []byte, t *tally) (core.Finding, []byte) {
+	ent := &s.entries[i]
+	if ent.filled && ent.epoch == p.epochs[i] {
+		t.hits++
+		return ent.f, buf
+	}
+	t.misses++
+	path := e.paths[i]
+	var ev core.Evidence
+	if e.volatile[i] {
+		ev = core.QuorumEvidence(cont, path)
+	} else {
+		var err error
+		buf, err = cont.AppendRead(buf[:0], path)
+		ev = core.ReadEvidence(buf, err)
+	}
+	h := p.hosts[i]
+	f := core.Classify(path, ev, func() *core.HostContent { return e.hostContent(h, path, t) })
+	if !ent.filled {
+		s.cached.Add(1)
+	}
+	*ent = findingEntry{epoch: p.epochs[i], filled: true, f: f}
+	return f, buf
+}
+
+// hostContent returns the host content of path at the entry's epoch,
+// rendering it only if no validation of this epoch has yet.
+func (e *Engine) hostContent(h *hostEntry, path string, t *tally) *core.HostContent {
+	rendered := false
+	if !h.rendered.Load() {
+		h.once.Do(func() {
+			h.content.Data, h.content.Err = e.host.Read(path)
+			h.rendered.Store(true)
+			rendered = true
+		})
+	}
+	if rendered {
+		t.hostRenders++
+	} else {
+		t.hostHits++
+	}
+	return &h.content
+}
+
+// record adds one goroutine's tally to the engine counters.
+func (e *Engine) record(t tally) {
+	e.findingHits.Add(t.hits)
+	e.findingMisses.Add(t.misses)
+	e.hostHits.Add(t.hostHits)
+	e.hostRenders.Add(t.hostRenders)
 }
 
 // checkFS panics when a container mount belongs to a different FS than the
@@ -263,8 +337,8 @@ func (e *Engine) checkFS(cont *pseudofs.Mount) {
 func (e *Engine) Reset() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.findings = make(map[findingKey]findingEntry)
-	e.hostc = make(map[string]*hostEntry)
+	e.slabs = make(map[*pseudofs.Mount]*slab)
+	e.hostc = make([]*hostEntry, len(e.paths))
 }
 
 // Forget drops the cached findings of one container mount (call when a
@@ -272,9 +346,5 @@ func (e *Engine) Reset() {
 func (e *Engine) Forget(cont *pseudofs.Mount) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for k := range e.findings {
-		if k.cont == cont {
-			delete(e.findings, k)
-		}
-	}
+	delete(e.slabs, cont)
 }

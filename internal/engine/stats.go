@@ -20,7 +20,9 @@ type Stats struct {
 	HostHits    uint64 `json:"host_hits"`
 	HostRenders uint64 `json:"host_renders"`
 
-	// CachedFindings and CachedHostPaths are current cache sizes.
+	// CachedFindings and CachedHostPaths are current cache sizes: the
+	// (container, path) verdicts held, and the paths whose host render at
+	// their latest epoch is held.
 	CachedFindings  int `json:"cached_findings"`
 	CachedHostPaths int `json:"cached_host_paths"`
 
@@ -34,7 +36,15 @@ type Stats struct {
 // kernel's generation state.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	nf, nh := len(e.findings), len(e.hostc)
+	var nf, nh int
+	for _, s := range e.slabs {
+		nf += int(s.cached.Load())
+	}
+	for _, h := range e.hostc {
+		if h != nil && h.rendered.Load() {
+			nh++
+		}
+	}
 	e.mu.Unlock()
 	eps := e.fs.Kernel().Epochs()
 	m := make(map[string]uint64, int(kernel.NumSubsystems))
