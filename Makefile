@@ -63,7 +63,8 @@ chaos-sweep:
 	$(GO) run ./cmd/defensebench -chaossweep -j 4
 
 # The serial-vs-parallel pairs from README.md's Performance section, plus
-# the cold-vs-incremental recurring-scan pair (the epoch engine's speedup).
+# the cold-vs-incremental recurring-scan pair (the epoch engine's speedup)
+# and the never-seen-seed scan (world build + seal + cold pass + roll-up).
 # -benchtime=1x keeps this cheap enough for CI; drop it for stable numbers.
 # Note the incremental variant needs >1 iteration to hit the engine cache,
 # so it runs at -benchtime=10x in the measured pair below — and the Fig3
@@ -75,7 +76,7 @@ bench:
 		'^(BenchmarkTable1LeakScan|BenchmarkTable1LeakScanParallel)$$' \
 		-benchtime=1x .
 	$(GO) test -run '^$$' -bench '^(BenchmarkFig3Sweep|BenchmarkFig3SweepParallel)$$' -benchtime=10x .
-	$(GO) test -run '^$$' -bench '^BenchmarkRecurringScan(Cold|Incremental)$$' -benchtime=10x .
+	$(GO) test -run '^$$' -bench '^BenchmarkRecurringScan(Cold|Incremental)$$|^BenchmarkNewSeedInspect$$' -benchtime=10x .
 	$(GO) test -run '^$$' -bench '^BenchmarkMatrixSweep(Cold|Incremental)$$' -benchtime=10x .
 
 # Every table and figure of the paper's evaluation as benchmarks.

@@ -12,6 +12,7 @@ package repro
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chaos"
@@ -71,6 +72,32 @@ func BenchmarkRecurringScanIncremental(b *testing.B) {
 	st := s.EngineStats()
 	b.ReportMetric(float64(leaking), "local-channels-●")
 	b.ReportMetric(float64(st.FindingHits), "finding-hits")
+}
+
+// newSeedInspectSeed hands BenchmarkNewSeedInspect a seed no earlier
+// iteration in this process used, across its repeated b.N runs, so no
+// session is served from the world pool.
+var newSeedInspectSeed atomic.Int64
+
+// BenchmarkNewSeedInspect is the scan a daemon pays for a target it has
+// never seen: build a session for a fresh seed (world build plus warm-up
+// ticks), run the first engine pass and the Table I roll-up, and close the
+// session. It cycles over the six Table I providers. Unlike the recurring
+// pair above, every pass is cold, so world build, seal and roll-up all
+// count.
+func BenchmarkNewSeedInspect(b *testing.B) {
+	providers := append([]cloud.ProviderProfile{cloud.LocalTestbed()}, cloud.CommercialClouds()...)
+	var leaking int
+	for i := 0; i < b.N; i++ {
+		seed := 1<<20 + newSeedInspectSeed.Add(1)
+		s, err := experiments.NewInspectSession(providers[i%len(providers)], chaos.Spec{}, seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		leaking = countAvailable(s.Inspect(1))
+		s.Close()
+	}
+	b.ReportMetric(float64(leaking), "channels-●")
 }
 
 // The matrix pair is the recurring-scan pair scaled to the runtime matrix:

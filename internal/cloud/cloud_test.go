@@ -337,6 +337,27 @@ func TestDatacenterBillingAccessor(t *testing.T) {
 	}
 }
 
+// TestProviderByName checks the name switch against the constructors: every
+// inspectable provider resolves to its own profile, and nothing else does.
+func TestProviderByName(t *testing.T) {
+	all := append([]ProviderProfile{LocalTestbed(), LocalLXC()}, CommercialClouds()...)
+	for _, want := range all {
+		got, ok := ProviderByName(want.Name)
+		if !ok || !IsProvider(want.Name) {
+			t.Fatalf("provider %q not resolved", want.Name)
+		}
+		if got.Name != want.Name || got.Runtime.Engine != want.Runtime.Engine ||
+			got.Hardware != want.Hardware || len(got.ExtraRules) != len(want.ExtraRules) {
+			t.Errorf("ProviderByName(%q) = %+v, want %+v", want.Name, got, want)
+		}
+	}
+	for _, name := range []string{"", "gvisor", "CC1", "local "} {
+		if _, ok := ProviderByName(name); ok || IsProvider(name) {
+			t.Errorf("%q resolved as a provider", name)
+		}
+	}
+}
+
 func TestLocalLXCProfile(t *testing.T) {
 	p := LocalLXC()
 	dc := New(Config{Racks: 1, ServersPerRack: 1, Seed: 15, Provider: &p})

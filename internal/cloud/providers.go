@@ -23,11 +23,14 @@ type ProviderProfile struct {
 	ExtraRules []pseudofs.Rule
 }
 
+// LocalName names the local testbed, the default inspection target.
+const LocalName = "local"
+
 // LocalTestbed is the unhardened Docker host the paper first explores;
 // every channel leaks.
 func LocalTestbed() ProviderProfile {
 	return ProviderProfile{
-		Name:     "local",
+		Name:     LocalName,
 		Runtime:  container.DockerProfile(),
 		Hardware: pseudofs.DefaultHardware(),
 	}
@@ -126,6 +129,42 @@ func CC5() ProviderProfile {
 // CommercialClouds returns CC1–CC5 in order.
 func CommercialClouds() []ProviderProfile {
 	return []ProviderProfile{CC1(), CC2(), CC3(), CC4(), CC5()}
+}
+
+// ProviderByName builds the inspectable provider (a Table I column: the
+// local testbeds or CC1–CC5) with the given name, and no other profile.
+func ProviderByName(name string) (ProviderProfile, bool) {
+	build := providerBuilder(name)
+	if build == nil {
+		return ProviderProfile{}, false
+	}
+	return build(), true
+}
+
+// IsProvider reports whether name is an inspectable provider without
+// building its profile.
+func IsProvider(name string) bool { return providerBuilder(name) != nil }
+
+// providerBuilder returns the constructor of the named inspectable
+// provider, or nil.
+func providerBuilder(name string) func() ProviderProfile {
+	switch name {
+	case LocalName:
+		return LocalTestbed
+	case "local-lxc":
+		return LocalLXC
+	case "cc1":
+		return CC1
+	case "cc2":
+		return CC2
+	case "cc3":
+		return CC3
+	case "cc4":
+		return CC4
+	case "cc5":
+		return CC5
+	}
+	return nil
 }
 
 // GVisorTarget is the local testbed re-run under a gVisor sandbox: the

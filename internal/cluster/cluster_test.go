@@ -105,6 +105,23 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestSpecValidateBuildsNoProfile pins the per-shard validation cost:
+// workers validate every shard's spec, so resolving a known provider must
+// not build provider profiles (rule slices and all) just to check a name.
+func TestSpecValidateBuildsNoProfile(t *testing.T) {
+	for _, provider := range []string{"", "local", "local-lxc", "cc1", "cc5"} {
+		spec := Spec{Provider: provider, Containers: 8}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Validate(provider %q) allocates %.0f times, want 0", provider, allocs)
+		}
+	}
+}
+
 // TestClusterMatchesSingleNode is the differential suite at the heart of
 // the byte-identity contract: for every worker count and partition layout,
 // the merged cluster result must serialize to exactly the bytes the

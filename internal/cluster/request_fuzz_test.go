@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/cloud"
 )
 
 // FuzzShardRequest decodes a shard request body the way the worker's
@@ -47,7 +49,7 @@ func FuzzShardRequest(f *testing.F) {
 			if n.Containers <= 0 {
 				t.Fatalf("valid spec with %d containers", n.Containers)
 			}
-			if _, ok := providerProfile(n.Provider); !ok {
+			if !cloud.IsProvider(n.Provider) {
 				t.Fatalf("valid spec with unknown provider %q", n.Provider)
 			}
 		}

@@ -45,7 +45,7 @@ type Spec struct {
 // Normalize canonicalizes a spec so equal worlds compare equal.
 func (s Spec) Normalize() Spec {
 	if s.Provider == "" {
-		s.Provider = cloud.LocalTestbed().Name
+		s.Provider = cloud.LocalName
 	}
 	if s.Seed == 0 {
 		s.Seed = DefaultSeed
@@ -59,7 +59,7 @@ func (s Spec) Normalize() Spec {
 // Validate rejects malformed specs with client-facing errors.
 func (s Spec) Validate() error {
 	n := s.Normalize()
-	if _, ok := providerProfile(n.Provider); !ok {
+	if !cloud.IsProvider(n.Provider) {
 		return fmt.Errorf("unknown provider %q", n.Provider)
 	}
 	if n.Containers <= 0 {
@@ -79,17 +79,6 @@ func (s Spec) worldKey() string {
 // identity both the world builder and the partitioner hash, so the ring
 // key of a container never depends on having the world in memory.
 func ContainerName(i int) string { return fmt.Sprintf("tenant-%05d", i) }
-
-// providerProfile resolves a Table I profile by name.
-func providerProfile(name string) (cloud.ProviderProfile, bool) {
-	all := append([]cloud.ProviderProfile{cloud.LocalTestbed(), cloud.LocalLXC()}, cloud.CommercialClouds()...)
-	for _, p := range all {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return cloud.ProviderProfile{}, false
-}
 
 // FleetWorld is one deterministic fleet replica: a single-server
 // datacenter, Containers tenant containers, and an incremental engine over
@@ -113,7 +102,7 @@ func BuildFleetWorld(spec Spec) (*FleetWorld, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	prof, _ := providerProfile(spec.Provider)
+	prof, _ := cloud.ProviderByName(spec.Provider)
 	dc := cloud.New(cloud.Config{Racks: 1, ServersPerRack: 1, Seed: spec.Seed, Provider: &prof})
 	srv := dc.Racks[0].Servers[0]
 	mounts := make([]*pseudofs.Mount, spec.Containers)

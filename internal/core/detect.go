@@ -332,27 +332,44 @@ type ChannelReport struct {
 	Files        []Finding
 }
 
+// channelIndex is a channel registry compiled for path classification:
+// every channel's patterns flattened in registry order into one
+// pseudofs.GlobIndex, with owner mapping a pattern position back to its
+// channel. An exact path listed by two channels appears twice, so it
+// resolves to both.
+type channelIndex struct {
+	globs *pseudofs.GlobIndex
+	owner []int
+}
+
+func compileChannels(channels []Channel) channelIndex {
+	n := 0
+	for _, ch := range channels {
+		n += len(ch.Paths)
+	}
+	patterns := make([]string, 0, n)
+	owner := make([]int, 0, n)
+	for ci, ch := range channels {
+		for _, p := range ch.Paths {
+			patterns = append(patterns, p)
+			owner = append(owner, ci)
+		}
+	}
+	return channelIndex{globs: pseudofs.CompileGlobs(patterns), owner: owner}
+}
+
 // Discover returns the findings that leak (Identical or Partial) but match
 // no pattern of the given channel registry — the "new channel" output of a
 // systematic sweep, which is what distinguishes the paper's cross-
 // validation approach from auditing a fixed checklist.
 func Discover(channels []Channel, findings []Finding) []Finding {
-	known := func(path string) bool {
-		for _, ch := range channels {
-			for _, pat := range ch.Paths {
-				if pseudofs.Match(pat, path) {
-					return true
-				}
-			}
-		}
-		return false
-	}
+	idx := compileChannels(channels)
 	var out []Finding
 	for _, f := range findings {
 		if f.Status != Identical && f.Status != Partial {
 			continue
 		}
-		if !known(f.Path) {
+		if idx.globs.First(f.Path) < 0 {
 			out = append(out, f)
 		}
 	}
@@ -362,21 +379,29 @@ func Discover(channels []Channel, findings []Finding) []Finding {
 // RollUp groups findings into registry channels and derives each channel's
 // availability: Available if any member file reads identical to the host,
 // PartiallyAvailable if the best member is a filtered subset (or volatile —
-// still host kernel state), else Unavailable.
+// still host kernel state), else Unavailable. Each channel's Files keep
+// finding order, and a finding lands in every channel with a pattern
+// matching its path.
 func RollUp(channels []Channel, findings []Finding) []ChannelReport {
-	reports := make([]ChannelReport, 0, len(channels))
-	for _, ch := range channels {
-		rep := ChannelReport{Channel: ch}
-		for _, f := range findings {
-			for _, pat := range ch.Paths {
-				if pseudofs.Match(pat, f.Path) {
-					rep.Files = append(rep.Files, f)
-					break
-				}
+	idx := compileChannels(channels)
+	reports := make([]ChannelReport, len(channels))
+	for ci, ch := range channels {
+		reports[ci].Channel = ch
+	}
+	var hits []int
+	for _, f := range findings {
+		hits = idx.globs.AppendMatches(hits[:0], f.Path)
+		last := -1 // positions ascend, so one channel's hits are adjacent
+		for _, pi := range hits {
+			if ci := idx.owner[pi]; ci != last {
+				reports[ci].Files = append(reports[ci].Files, f)
+				last = ci
 			}
 		}
+	}
+	for i := range reports {
 		best := Unavailable
-		for _, f := range rep.Files {
+		for _, f := range reports[i].Files {
 			switch f.Status {
 			case Identical:
 				best = Available
@@ -386,8 +411,7 @@ func RollUp(channels []Channel, findings []Finding) []ChannelReport {
 				}
 			}
 		}
-		rep.Availability = best
-		reports = append(reports, rep)
+		reports[i].Availability = best
 	}
 	return reports
 }

@@ -43,24 +43,19 @@ func Assess(channels []Channel, m *pseudofs.Mount, advance Sampler, nSamples int
 	if nSamples < 2 {
 		nSamples = 2
 	}
-	paths := m.Paths()
+	reads := channelReads(channels, m.Paths())
 
 	// Collect per-channel content samples over time.
 	samples := make([][]string, len(channels)) // [channel][sample]
 	for s := 0; s < nSamples; s++ {
-		for ci, ch := range channels {
+		for ci := range channels {
 			var b strings.Builder
-			for _, pat := range ch.Paths {
-				for _, p := range paths {
-					if !pseudofs.Match(pat, p) {
-						continue
-					}
-					content, err := m.Read(p)
-					if err != nil {
-						continue
-					}
-					b.WriteString(content)
+			for _, p := range reads[ci] {
+				content, err := m.Read(p)
+				if err != nil {
+					continue
 				}
+				b.WriteString(content)
 			}
 			samples[ci] = append(samples[ci], b.String())
 		}
@@ -86,6 +81,30 @@ func Assess(channels []Channel, m *pseudofs.Mount, advance Sampler, nSamples int
 
 	rankAssessments(out)
 	return out
+}
+
+// channelReads resolves the paths one sample of each channel reads:
+// pattern by pattern, every matching path in path order, so a path under
+// two of a channel's patterns is read twice.
+func channelReads(channels []Channel, paths []string) [][]string {
+	idx := compileChannels(channels)
+	matched := make([][]string, len(idx.owner)) // [pattern] matching paths
+	var hits []int
+	for _, p := range paths {
+		hits = idx.globs.AppendMatches(hits[:0], p)
+		for _, pi := range hits {
+			matched[pi] = append(matched[pi], p)
+		}
+	}
+	reads := make([][]string, len(channels))
+	pi := 0
+	for ci, ch := range channels {
+		for range ch.Paths {
+			reads[ci] = append(reads[ci], matched[pi]...)
+			pi++
+		}
+	}
+	return reads
 }
 
 // channelEntropy implements Formula (1): treat every numeric position in

@@ -73,12 +73,12 @@ type Impact struct {
 // AssessImpact reports which application reads a stage-1 policy would
 // break.
 func AssessImpact(rules []pseudofs.Rule, apps []AppProfile) []Impact {
-	policy := pseudofs.Policy{Rules: rules}
+	policy := pseudofs.Policy{Rules: rules}.Index()
 	var out []Impact
 	for _, app := range apps {
 		imp := Impact{App: app.Name, TotalReads: len(app.Reads)}
 		for _, path := range app.Reads {
-			if r, ok := policy.Lookup(path); ok && r.Do == pseudofs.Deny {
+			if i := policy.First(path); i >= 0 && rules[i].Do == pseudofs.Deny {
 				imp.BrokenReads = append(imp.BrokenReads, path)
 			}
 		}

@@ -54,6 +54,37 @@ func leaking(s core.FileStatus) bool {
 	return s == core.Identical || s == core.Partial || s == core.Volatile
 }
 
+// patternEvidence resolves, per channel pattern in registry order (the
+// flattened ch.Paths of every channel), the leaking findings it covers in
+// finding order and whether any benign read falls under it: one glob-index
+// query per path instead of one match per (pattern, path) pair.
+func patternEvidence(channels []core.Channel, findings []core.Finding, mined MinedTrace) (leaksUnder [][]core.Finding, benignUnder []bool) {
+	var patterns []string
+	for _, ch := range channels {
+		patterns = append(patterns, ch.Paths...)
+	}
+	idx := pseudofs.CompileGlobs(patterns)
+	leaksUnder = make([][]core.Finding, len(patterns))
+	benignUnder = make([]bool, len(patterns))
+	var hits []int
+	for _, f := range findings {
+		if !leaking(f.Status) {
+			continue
+		}
+		hits = idx.AppendMatches(hits[:0], f.Path)
+		for _, pi := range hits {
+			leaksUnder[pi] = append(leaksUnder[pi], f)
+		}
+	}
+	for path := range mined.Benign {
+		hits = idx.AppendMatches(hits[:0], path)
+		for _, pi := range hits {
+			benignUnder[pi] = true
+		}
+	}
+	return leaksUnder, benignUnder
+}
+
 // synthesize is the pure rule generator: detector findings plus the mined
 // benign surface in, ordered rules out.
 func synthesize(fs *pseudofs.FS, channels []core.Channel, findings []core.Finding, mined MinedTrace) []Rule {
@@ -70,28 +101,16 @@ func synthesize(fs *pseudofs.FS, channels []core.Channel, findings []core.Findin
 		drafts[key] = draft{rule: r, order: len(drafts)}
 	}
 
+	leaksUnder, benignUnder := patternEvidence(channels, findings, mined)
+	pi := -1
 	for _, ch := range channels {
 		for _, pat := range ch.Paths {
-			var leaks []core.Finding
-			benignUnder := false
-			for _, f := range findings {
-				if !pseudofs.Match(pat, f.Path) {
-					continue
-				}
-				if leaking(f.Status) {
-					leaks = append(leaks, f)
-				}
-			}
-			for path := range mined.Benign {
-				if pseudofs.Match(pat, path) {
-					benignUnder = true
-					break
-				}
-			}
+			pi++
+			leaks := leaksUnder[pi]
 			if len(leaks) == 0 {
 				continue // pattern already closed (or absent) in this world
 			}
-			if !benignUnder {
+			if !benignUnder[pi] {
 				var mask kernel.SubsystemMask
 				for _, f := range leaks {
 					mask |= fs.Dep(f.Path).Mask

@@ -35,13 +35,13 @@ type depRule struct {
 	Dep     Dep
 }
 
-// depTable maps the built tree to dependency tags. Exact paths are listed
-// before patterns only for readability — lookup tries exact match first,
-// then first matching pattern. The grouping mirrors the kernel's Tick
-// commentary: anything mutated during a tick is covered by the tick's
-// sched|mem|net|power bump, so the tags here only need to be exact about
-// the out-of-tick mutation paths (Spawn/Exit, cgroup churn, namespace and
-// device churn).
+// depTable maps the built tree to dependency tags. The first matching row
+// wins, so a specific rule must precede any broader pattern covering the
+// same paths; exact paths are listed first only for readability. The
+// grouping mirrors the kernel's Tick commentary: anything mutated during a
+// tick is covered by the tick's sched|mem|net|power bump, so the tags here
+// only need to be exact about the out-of-tick mutation paths (Spawn/Exit,
+// cgroup churn, namespace and device churn).
 var depTable = []depRule{
 	// Immutable host facts.
 	{"/proc/version", Dep{}},
@@ -121,6 +121,16 @@ var depTable = []depRule{
 	{"/sys/devices/system/cpu/cpu*/cpufreq/*", Dep{}},
 }
 
+// depIndex is depTable's patterns compiled once at package init. Like the
+// table it is immutable, so every FS shares it.
+var depIndex = func() *GlobIndex {
+	patterns := make([]string, len(depTable))
+	for i, r := range depTable {
+		patterns[i] = r.Pattern
+	}
+	return CompileGlobs(patterns)
+}()
+
 // depAll is the conservative default for paths the table does not know:
 // depend on everything, never volatile.
 var depAll = Dep{Mask: kernel.MaskAll}
@@ -128,20 +138,18 @@ var depAll = Dep{Mask: kernel.MaskAll}
 // Dep returns the dependency tag for a path. Unknown paths conservatively
 // depend on every subsystem. Tags for the FS's own files are precomputed
 // at Build time (the file set is sealed), so the common lookup is one map
-// read; only paths outside the tree fall back to the table scan.
+// read; only paths outside the tree go to the dependency index.
 func (fs *FS) Dep(path string) Dep {
 	if d, ok := fs.deps[path]; ok {
 		return d
 	}
-	return fs.lookupDep(path)
+	return lookupDep(path)
 }
 
-// lookupDep scans the dependency table; seal caches its results per path.
-func (fs *FS) lookupDep(path string) Dep {
-	for _, r := range depTable {
-		if r.Pattern == path || matchPattern(r.Pattern, path) {
-			return r.Dep
-		}
+// lookupDep returns the tag of the first depTable row matching path.
+func lookupDep(path string) Dep {
+	if i := depIndex.First(path); i >= 0 {
+		return depTable[i].Dep
 	}
 	return depAll
 }

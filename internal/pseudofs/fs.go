@@ -117,8 +117,9 @@ type FS struct {
 
 	// deps and sortedPaths are precomputed at Build time: the file set is
 	// sealed once Build returns (Replace swaps handlers in place, never
-	// adds paths), so the dependency-table scan and the path sort run once
-	// per FS instead of once per lookup on the recurring-scan hot path.
+	// adds paths), so the dependency lookup (one depIndex query per path)
+	// and the path sort run once per FS instead of once per lookup on the
+	// recurring-scan hot path.
 	deps        map[string]Dep
 	sortedPaths []string
 
@@ -188,7 +189,7 @@ func (fs *FS) seal() {
 	fs.deps = make(map[string]Dep, len(fs.files))
 	for p := range fs.files {
 		fs.sortedPaths = append(fs.sortedPaths, p)
-		fs.deps[p] = fs.lookupDep(p)
+		fs.deps[p] = lookupDep(p)
 	}
 	sort.Strings(fs.sortedPaths)
 }
@@ -327,27 +328,35 @@ type Policy struct {
 	Rules []Rule
 }
 
-// Lookup returns the first matching rule for a path; ok is false when no
-// rule matches (default Allow).
-func (p Policy) Lookup(path string) (Rule, bool) {
-	for _, r := range p.Rules {
-		if matchPattern(r.Pattern, path) {
-			return r, true
-		}
+// Index compiles the rule patterns, in order; position i of the index is
+// Rules[i]. Callers that look up many paths compile once and keep it.
+func (p Policy) Index() *GlobIndex {
+	patterns := make([]string, len(p.Rules))
+	for i, r := range p.Rules {
+		patterns[i] = r.Pattern
 	}
-	return Rule{}, false
+	return CompileGlobs(patterns)
 }
 
-// Match reports whether path matches the rule pattern language ('*' within
-// a segment, trailing "/**" for subtrees). The leakage detector uses it to
-// map concrete file paths onto registry channels.
-func Match(pattern, path string) bool { return matchPattern(pattern, path) }
+// Lookup returns the first matching rule for a path; ok is false when no
+// rule matches (default Allow). It compiles the policy on every call; a
+// Mount compiles its policy once.
+func (p Policy) Lookup(path string) (Rule, bool) {
+	return p.rule(p.Index().First(path))
+}
+
+// rule returns Rules[i], or ok false for the no-match position -1.
+func (p Policy) rule(i int) (Rule, bool) {
+	if i < 0 {
+		return Rule{}, false
+	}
+	return p.Rules[i], true
+}
 
 // matchPattern implements the limited glob language of Rule. It walks both
-// strings segment by segment without allocating: pattern matching sits on
-// the hot path of every policy check, dependency lookup, and channel
-// roll-up, so the naive strings.Split formulation dominated recurring-scan
-// profiles.
+// strings segment by segment without allocating. It is the one matcher
+// behind GlobIndex, which runs it only on patterns whose literal prefix
+// and suffix a path already carries.
 func matchPattern(pattern, path string) bool {
 	if sub, ok := strings.CutSuffix(pattern, "/**"); ok {
 		return path == sub ||
@@ -401,38 +410,34 @@ type Mount struct {
 	fs     *FS
 	view   View
 	policy Policy
-	// ruleIdx caches the policy decision per registered path: the index of
-	// the first matching rule, or -1 for "no rule matches" (default Allow).
-	// A Mount's policy is immutable after construction (ApplyPolicy builds a
-	// new Mount) and the FS path set is sealed at Build time, so the cache
-	// is precomputed once here and read concurrently without locks. Paths
-	// outside the sealed set fall back to the linear Lookup, preserving the
-	// exact first-match semantics.
+	// rules is the policy compiled once (nil when it has no rules), and
+	// ruleIdx its decision per registered path: the position of the first
+	// matching rule, or -1 for "no rule matches" (default Allow). A Mount's
+	// policy is immutable after construction (ApplyPolicy builds a new
+	// Mount) and the FS path set is sealed at Build time, so both are
+	// precomputed here and read concurrently without locks. A read of a
+	// registered path costs one map probe; other paths ask the index.
+	rules   *GlobIndex
 	ruleIdx map[string]int16
 }
 
 // NewMount mounts fs for the given view under the given policy.
 func NewMount(fs *FS, v View, p Policy) *Mount {
 	m := &Mount{fs: fs, view: v, policy: p}
-	if len(p.Rules) > 0 && fs.sortedPaths != nil {
+	if len(p.Rules) > 0 {
+		m.rules = p.Index()
 		m.ruleIdx = make(map[string]int16, len(fs.sortedPaths))
 		for _, path := range fs.sortedPaths {
-			idx := int16(-1)
-			for i, r := range p.Rules {
-				if matchPattern(r.Pattern, path) {
-					idx = int16(i)
-					break
-				}
-			}
-			m.ruleIdx[path] = idx
+			m.ruleIdx[path] = int16(m.rules.First(path))
 		}
 	}
 	return m
 }
 
-// lookupRule is Policy.Lookup accelerated by the per-mount decision cache;
-// policy checks sit on the hot path of every power/thermal sample (the
-// stable-read loop in attack.PowerMonitor issues several per tick).
+// lookupRule is Policy.Lookup served from the mount's precomputed
+// decisions; policy checks sit on the hot path of every power/thermal
+// sample (the stable-read loop in attack.PowerMonitor issues several per
+// tick).
 func (m *Mount) lookupRule(path string) (Rule, bool) {
 	if idx, ok := m.ruleIdx[path]; ok {
 		if idx < 0 {
@@ -440,7 +445,10 @@ func (m *Mount) lookupRule(path string) (Rule, bool) {
 		}
 		return m.policy.Rules[idx], true
 	}
-	return m.policy.Lookup(path)
+	if m.rules == nil {
+		return Rule{}, false
+	}
+	return m.policy.rule(m.rules.First(path))
 }
 
 // View returns the mount's reader context.

@@ -367,12 +367,6 @@ func TestReplaceSwapsHandlerAndPanicsOnUnknown(t *testing.T) {
 	fs.Replace("/no/such/file", nil)
 }
 
-func TestMatchWrapper(t *testing.T) {
-	if !Match("/proc/**", "/proc/a/b") || Match("/proc/x", "/proc/y") {
-		t.Fatal("Match wrapper broken")
-	}
-}
-
 func TestMountViewAndPaths(t *testing.T) {
 	k, fs := newHost(20)
 	v := containerView(k, "c", "/c")

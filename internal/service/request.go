@@ -174,12 +174,7 @@ func (r ScanRequest) Key() string {
 
 // ProviderByName resolves a profile by its Table I name.
 func ProviderByName(name string) (cloud.ProviderProfile, bool) {
-	for _, p := range allProviders() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return cloud.ProviderProfile{}, false
+	return cloud.ProviderByName(name)
 }
 
 // ProviderNames lists the inspectable profiles in Table I column order.
