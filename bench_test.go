@@ -83,7 +83,7 @@ var newSeedInspectSeed atomic.Int64
 // never seen: build a session for a fresh seed (world build plus warm-up
 // ticks), run the first engine pass and the Table I roll-up, and close the
 // session. It cycles over the six Table I providers. Unlike the recurring
-// pair above, every pass is cold, so world build, seal and roll-up all
+// pair above, every pass is cold, so world build and roll-up both
 // count.
 func BenchmarkNewSeedInspect(b *testing.B) {
 	providers := append([]cloud.ProviderProfile{cloud.LocalTestbed()}, cloud.CommercialClouds()...)

@@ -12,8 +12,11 @@
 // re-validated only when its source epoch moved; everything else is served
 // from cache, byte-identical to what a cold scan would produce.
 //
-// Cache layout. The FS path set is sealed at pseudofs.Build, so every
-// cache is a slice indexed by a path's position in that sorted set:
+// Cache layout. The FS path set is its shared pseudofs layout, fixed at
+// pseudofs.Build, and a path's position in it is the path's identity: the
+// engine reads epochs, dependency tags and content by position
+// (FS.PathEpochAt, FS.DepAt, Mount.AppendReadAt), so a pass makes no
+// per-path map probe. Every cache is a slice indexed by that position:
 //
 //   - Finding slabs, one per container mount: slot i holds the verdict for
 //     path i and the source epoch it was computed at.
@@ -23,10 +26,11 @@
 //     set for the overlap measure, built at most once.
 //
 // A pass computes every path's source epoch once and refreshes stale host
-// entries under the engine lock before it fans out. Fleet passes fan out
-// by container; a pass holds its container's slab lock while it fills the
-// slab, so concurrent passes over one container (a duplicated shard
-// delivery) serialize instead of racing.
+// entries under the engine lock before it fans out; a pass's fresh entries
+// come from one block, and a pass already in flight keeps the entries it
+// began with. Fleet passes fan out by container; a pass holds its
+// container's slab lock while it fills the slab, so concurrent passes over
+// one container (a duplicated shard delivery) serialize instead of racing.
 //
 // One read per pure path. core.CrossValidate reads every path three times
 // in the container context and takes a majority, because under fault
@@ -75,8 +79,8 @@ import (
 type Engine struct {
 	host     *pseudofs.Mount
 	fs       *pseudofs.FS
-	paths    []string // the FS's sealed path set, in path order
-	volatile []bool   // pseudofs.Dep(path).Volatile, by path index
+	paths    []string // the FS's layout paths, in position order
+	volatile []bool   // FS.DepAt(i).Volatile, by position
 
 	mu    sync.Mutex
 	slabs map[*pseudofs.Mount]*slab
@@ -139,8 +143,8 @@ func New(host *pseudofs.Mount) *Engine {
 	fs := host.FS()
 	paths := fs.Paths()
 	volatile := make([]bool, len(paths))
-	for i, p := range paths {
-		volatile[i] = fs.Dep(p).Volatile
+	for i := range paths {
+		volatile[i] = fs.DepAt(i).Volatile
 	}
 	return &Engine{
 		host:     host,
@@ -206,8 +210,10 @@ func (e *Engine) FleetValidate(conts []*pseudofs.Mount, workers int) [][]core.Fi
 }
 
 // begin starts a pass: under the engine lock it computes each path's
-// source epoch, replaces the host entries of paths whose epoch moved, and
-// resolves (creating on first sight) each container's slab.
+// source epoch, replaces the host entries of paths whose epoch moved with
+// entries from one fresh block, and resolves (creating on first sight)
+// each container's slab. Entries are replaced, never reset, so a pass in
+// flight keeps rendering into the entries it began with.
 func (e *Engine) begin(conts []*pseudofs.Mount) *pass {
 	p := &pass{
 		epochs: make([]uint64, len(e.paths)),
@@ -216,14 +222,23 @@ func (e *Engine) begin(conts []*pseudofs.Mount) *pass {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i, path := range e.paths {
-		ep := e.fs.PathEpoch(path)
+	stale := 0
+	for i := range e.paths {
+		ep := e.fs.PathEpochAt(i)
+		if h := e.hostc[i]; h == nil || h.epoch != ep {
+			stale++
+		}
+		p.epochs[i] = ep
+	}
+	block := make([]hostEntry, stale)
+	for i, ep := range p.epochs {
 		h := e.hostc[i]
 		if h == nil || h.epoch != ep {
-			h = &hostEntry{epoch: ep}
+			h, block = &block[0], block[1:]
+			h.epoch = ep
 			e.hostc[i] = h
 		}
-		p.epochs[i], p.hosts[i] = ep, h
+		p.hosts[i] = h
 	}
 	for ci, c := range conts {
 		s := e.slabs[c]
@@ -283,11 +298,11 @@ func (e *Engine) fill(cont *pseudofs.Mount, s *slab, p *pass, i int, buf []byte,
 		ev = core.QuorumEvidence(cont, path)
 	} else {
 		var err error
-		buf, err = cont.AppendRead(buf[:0], path)
+		buf, err = cont.AppendReadAt(buf[:0], i)
 		ev = core.ReadEvidence(buf, err)
 	}
 	h := p.hosts[i]
-	f := core.Classify(path, ev, func() *core.HostContent { return e.hostContent(h, path, t) })
+	f := core.Classify(path, ev, func() *core.HostContent { return e.hostContent(h, i, t) })
 	if !ent.filled {
 		s.cached.Add(1)
 	}
@@ -295,13 +310,20 @@ func (e *Engine) fill(cont *pseudofs.Mount, s *slab, p *pass, i int, buf []byte,
 	return f, buf
 }
 
-// hostContent returns the host content of path at the entry's epoch,
+// hostContent returns the host content of path i at the entry's epoch,
 // rendering it only if no validation of this epoch has yet.
-func (e *Engine) hostContent(h *hostEntry, path string, t *tally) *core.HostContent {
+func (e *Engine) hostContent(h *hostEntry, i int, t *tally) *core.HostContent {
 	rendered := false
 	if !h.rendered.Load() {
 		h.once.Do(func() {
-			h.content.Data, h.content.Err = e.host.Read(path)
+			bp := bufPool.Get().(*[]byte)
+			b, err := e.host.AppendReadAt((*bp)[:0], i)
+			if err == nil {
+				h.content.Data = string(b)
+			}
+			h.content.Err = err
+			*bp = b[:0]
+			bufPool.Put(bp)
 			h.rendered.Store(true)
 			rendered = true
 		})

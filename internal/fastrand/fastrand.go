@@ -16,20 +16,17 @@
 // additive lagged-Fibonacci generator (x_i = x_{i-273} + x_{i-607} mod 2^64)
 // as a concrete struct with value-receiver-free, branch-light methods.
 //
-// # Seeding without the cooked table
+// # Seeding
 //
-// math/rand seeds its 607-word state vector from an internal precomputed
-// table (rngCooked) that is produced by ~7.8e12 warm-up iterations at
-// package generation time; it is not practical to recompute and not
-// exported. Instead of vendoring that table, New reconstructs the state
-// through the public API: it creates rand.NewSource(seed) and draws 607
-// Uint64 values. Because the generator's state is a sliding window over
-// its own output, those 607 outputs ARE the full post-draw state: output
-// i (0-based) lands at vec[(333-i) mod 607], and after exactly 607 draws
-// the tap/feed indices return to their initial positions. New then runs
-// the recurrence BACKWARD 607 steps (vec[feed] -= vec[tap]; advance
-// indices) to recover the pre-draw state, so the replica's very first
-// native draw is stdlib draw 0 and Uint64 needs no replay branch.
+// math/rand seeds its 607-word state vector as vec[i] = s[i] XOR
+// rngCooked[i], where s is a stream drawn from the seed by the Lehmer
+// generator x -> 48271·x mod (2^31-1) (seedrand) and rngCooked is a
+// precomputed table that is not exported. The package recovers that table
+// once, at init: it reads the state of one stdlib source through its
+// outputs (sourceState) and XORs it with that seed's own seedrand stream.
+// New then seeds directly: it XORs the table with the seed's seedrand
+// stream, computed with Mersenne reductions in uint64 instead of
+// divisions — no stdlib source, and one allocation, per generator.
 //
 // Equivalence for every exported method is enforced by property tests in
 // fastrand_test.go across seeds and interleaved method sequences.
@@ -61,30 +58,90 @@ type Rand struct {
 	readPos int8
 }
 
+// cooked is math/rand's rngCooked table, recovered at init from the
+// state of the stdlib source for seed 1.
+var cooked = func() [rngLen]uint64 {
+	const seed = 1
+	vec := sourceState(rand.NewSource(seed).(rand.Source64))
+	xorSeedStream(&vec, seed)
+	return vec
+}()
+
 // New returns a generator whose stream is bit-identical to
 // rand.New(rand.NewSource(seed)).
 func New(seed int64) *Rand {
-	src := rand.NewSource(seed).(rand.Source64)
-	r := &Rand{}
-	// Initial positions inside math/rand's rngSource after Seed():
-	// tap = 0, feed = rngLen - rngTap = 334. Each Uint64() first
-	// decrements both (wrapping), computes x = vec[feed] + vec[tap],
+	// math/rand's Seed leaves tap = 0 and feed = rngLen - rngTap.
+	r := &Rand{vec: cooked, feed: rngLen - rngTap}
+	xorSeedStream(&r.vec, seed)
+	return r
+}
+
+// xorSeedStream XORs into vec the words math/rand's Seed XORs with
+// rngCooked. Seed reduces the seed into [1, 2^31-1), steps it 20 times by
+// seedrand (x -> 48271·x mod 2^31-1), then takes three steps per word w:
+// w = x1<<40 ^ x2<<20 ^ x3, truncated to 64 bits. Here each step count is
+// one multiplication by a power of 48271, so the three steps of a word do
+// not wait on each other and only x3 carries on to the next word.
+func xorSeedStream(vec *[rngLen]uint64, seed int64) {
+	const (
+		p   = 1<<31 - 1
+		a1  = 48271
+		a2  = a1 * a1 % p
+		a3  = a2 * a1 % p
+		a4  = a2 * a2 % p
+		a20 = a4 * a4 % p * a4 % p * a4 % p * a4 % p
+	)
+	seed %= p
+	if seed < 0 {
+		seed += p
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	x := mulmod(uint64(seed), a20)
+	for i := range vec {
+		x1, x2, x3 := mulmod(x, a1), mulmod(x, a2), mulmod(x, a3)
+		vec[i] ^= x1<<40 ^ x2<<20 ^ x3
+		x = x3
+	}
+}
+
+// mulmod returns c·x mod 2^31-1 for x, c below 2^31-1. The product stays
+// below 2^62, so two Mersenne folds and one conditional subtraction reduce
+// it exactly, with no division.
+func mulmod(x, c uint64) uint64 {
+	const p = 1<<31 - 1
+	t := x * c
+	t = t&p + t>>31
+	t = t&p + t>>31
+	if t >= p {
+		t -= p
+	}
+	return t
+}
+
+// sourceState returns the seeded state of a fresh stdlib source, read
+// through its outputs.
+func sourceState(src rand.Source64) (vec [rngLen]uint64) {
+	// After Seed, tap = 0 and feed = rngLen - rngTap = 334. Each Uint64()
+	// first decrements both (wrapping), computes x = vec[feed] + vec[tap],
 	// stores x at vec[feed] and returns it. So output i sits at index
-	// (334 - 1 - i) mod 607 = (333 - i) mod 607, and after 607 outputs
-	// tap/feed are back at 0/334 — the drawn window IS the state.
+	// (333 - i) mod 607, and after 607 outputs tap/feed are back at 0/334
+	// — the drawn window IS the state.
 	for i := 0; i < rngLen; i++ {
 		j := 333 - i
 		if j < 0 {
 			j += rngLen
 		}
-		r.vec[j] = src.Uint64()
+		vec[j] = src.Uint64()
 	}
 	// Undo the 607 draws to recover the pre-draw state. Reverse of a
 	// forward step (with indices currently at post-step positions):
-	// vec[feed] -= vec[tap], then advance tap and feed by one.
+	// vec[feed] -= vec[tap], then advance tap and feed by one; 607 steps
+	// bring both back to 0/334.
 	tap, feed := 0, rngLen-rngTap
 	for i := 0; i < rngLen; i++ {
-		r.vec[feed] -= r.vec[tap]
+		vec[feed] -= vec[tap]
 		tap++
 		if tap >= rngLen {
 			tap -= rngLen
@@ -94,9 +151,7 @@ func New(seed int64) *Rand {
 			feed -= rngLen
 		}
 	}
-	r.tap = int32(tap)
-	r.feed = int32(feed)
-	return r
+	return vec
 }
 
 // Uint64 returns a pseudo-random 64-bit value.
@@ -203,69 +258,11 @@ func (r *Rand) FillFloat64(dst []float64) {
 // This is the simulation kernel's per-CPU jitter fan-out (the expression is
 // kernel.jitter's body verbatim, with the row's common factor hoisted as
 // scale); fusing the draw with the accumulate keeps the generator state in
-// registers AND skips the scratch-buffer round trip a Fill-then-consume
-// pair would cost — at ~600 fused draws per 24-core server tick the memory
-// traffic is the difference that shows up in Fig. 3 sweeps.
+// registers and skips a scratch buffer. It is the one-row case of
+// AddScaledJitterRows.
 func (r *Rand) AddScaledJitter(dst []float64, scale, amp float64) {
-	tap, feed := int(r.tap), int(r.feed)
-	if uint(tap) >= rngLen || uint(feed) >= rngLen {
-		panic("fastrand: corrupt generator state")
-	}
-	// Chunked draw loop: between wraps both indices only decrement, so a
-	// run of min(tap, feed) draws needs no wrap branches at all. The outer
-	// loop handles the (rare) wrap step and any slots a retry left
-	// unfilled; the inner loop is pure decrement/load/FMA traffic.
-	i := 0
-	for i < len(dst) {
-		n := tap
-		if feed < n {
-			n = feed
-		}
-		if rem := len(dst) - i; n > rem {
-			n = rem
-		}
-		if n <= 0 {
-			// One draw with full wrap handling (an index at 0 wraps to
-			// rngLen-1 because the decrement happens before use).
-			tap--
-			if tap < 0 {
-				tap = rngLen - 1
-			}
-			feed--
-			if feed < 0 {
-				feed = rngLen - 1
-			}
-			x := r.vec[feed] + r.vec[tap]
-			r.vec[feed] = x
-			// Identical to Float64: Int63 scaling with retry-on-1.0; a
-			// rejected draw simply doesn't advance i.
-			f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
-			if f != 1 {
-				dst[i] += scale * (1 + (f*2-1)*amp)
-				i++
-			}
-			continue
-		}
-		// Reslicing the two lag windows to exactly n elements lets the
-		// compiler drop the per-draw vec bounds checks: m runs [0,n) over
-		// slices of length n. The windows alias the same backing array at
-		// the generator's tap distance, so writes at higher m are read back
-		// at lower m exactly as the in-place form did.
-		vt := r.vec[tap-n : tap][:n]
-		vf := r.vec[feed-n : feed][:n]
-		for m := n - 1; m >= 0; m-- {
-			x := vf[m] + vt[m]
-			vf[m] = x
-			f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
-			if f != 1 {
-				dst[i] += scale * (1 + (f*2-1)*amp)
-				i++
-			}
-		}
-		tap -= n
-		feed -= n
-	}
-	r.tap, r.feed = int32(tap), int32(feed)
+	scales := [1]float64{scale}
+	r.AddScaledJitterRows(dst, len(dst), scales[:], amp)
 }
 
 // AddScaledJitter2 is the paired-stream variant of AddScaledJitter: for

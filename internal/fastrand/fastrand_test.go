@@ -2,6 +2,7 @@ package fastrand
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -10,7 +11,48 @@ import (
 // math/rand.New(rand.NewSource(seed)). Every test here compares the
 // replica against the stdlib generator method-for-method.
 
-var seeds = []int64{0, 1, 2, 42, -1, 1362, 2026, 0x1ea4, 1 << 40, -987654321}
+// seeds covers math/rand's seed reduction: 0 and its replacement
+// 89482311, negatives, and values around 2^31-1, the modulus seeds are
+// reduced by.
+var seeds = []int64{
+	0, 1, 2, 42, -1, 1362, 2026, 0x1ea4, 1 << 40, -987654321,
+	1<<31 - 2, 1<<31 - 1, 1 << 31, -(1<<31 - 1), 89482311,
+	math.MinInt64, math.MaxInt64,
+}
+
+// newStdlib is the math/rand-seeded constructor New replaced, kept as its
+// oracle: it reads the state of rand.NewSource(seed) through its outputs.
+func newStdlib(seed int64) *Rand {
+	return &Rand{vec: sourceState(rand.NewSource(seed).(rand.Source64)), feed: rngLen - rngTap}
+}
+
+// TestNewMatchesStdlibSeeding compares New's direct seeding with the
+// stdlib-seeded state over the seed list and a spread of others.
+func TestNewMatchesStdlibSeeding(t *testing.T) {
+	all := append([]int64(nil), seeds...)
+	for s := int64(-200); s <= 1000; s++ {
+		all = append(all, s)
+	}
+	gen := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		all = append(all, int64(gen.Uint64()))
+	}
+	for _, seed := range all {
+		if got, want := New(seed), newStdlib(seed); *got != *want {
+			t.Fatalf("seed %d: New's state differs from the stdlib-seeded state", seed)
+		}
+	}
+}
+
+// newSink keeps BenchmarkNew's generators on the heap, as a caller's are.
+var newSink *Rand
+
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		newSink = New(int64(i))
+	}
+}
 
 func TestUint64Equivalence(t *testing.T) {
 	for _, seed := range seeds {

@@ -122,7 +122,7 @@ var depTable = []depRule{
 }
 
 // depIndex is depTable's patterns compiled once at package init. Like the
-// table it is immutable, so every FS shares it.
+// table it is immutable; layouts resolve their paths' tags through it.
 var depIndex = func() *GlobIndex {
 	patterns := make([]string, len(depTable))
 	for i, r := range depTable {
@@ -136,15 +136,19 @@ var depIndex = func() *GlobIndex {
 var depAll = Dep{Mask: kernel.MaskAll}
 
 // Dep returns the dependency tag for a path. Unknown paths conservatively
-// depend on every subsystem. Tags for the FS's own files are precomputed
-// at Build time (the file set is sealed), so the common lookup is one map
-// read; only paths outside the tree go to the dependency index.
+// depend on every subsystem. Tags for the tree's own files live in the
+// layout, so the common lookup is one index probe; only paths outside the
+// tree go to the dependency index.
 func (fs *FS) Dep(path string) Dep {
-	if d, ok := fs.deps[path]; ok {
-		return d
+	if i := fs.position(path); i >= 0 {
+		return fs.DepAt(i)
 	}
 	return lookupDep(path)
 }
+
+// DepAt returns the dependency tag of the file at layout position i (the
+// index of its path in Paths).
+func (fs *FS) DepAt(i int) Dep { return fs.lay.deps[i] }
 
 // lookupDep returns the tag of the first depTable row matching path.
 func lookupDep(path string) Dep {
@@ -161,7 +165,19 @@ func lookupDep(path string) Dep {
 // and the path's handler-replacement generation — each addend is monotone
 // non-decreasing, so equal sums imply every component is unchanged.
 func (fs *FS) PathEpoch(path string) uint64 {
-	return fs.k.Epochs().Combined(fs.Dep(path).Mask) + fs.fsGen + fs.replaceGen[path]
+	if i := fs.position(path); i >= 0 {
+		return fs.PathEpochAt(i)
+	}
+	return fs.k.Epochs().Combined(lookupDep(path).Mask) + fs.fsGen
+}
+
+// PathEpochAt is PathEpoch of the file at layout position i.
+func (fs *FS) PathEpochAt(i int) uint64 {
+	ep := fs.k.Epochs().Combined(fs.lay.deps[i].Mask) + fs.fsGen
+	if fs.replaceGen != nil {
+		ep += fs.replaceGen[i]
+	}
+	return ep
 }
 
 // Epoch returns the FS-wide source epoch: moves whenever anything at all

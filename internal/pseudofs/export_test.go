@@ -27,7 +27,7 @@ func linearAll(patterns []string, path string) []int {
 	return out
 }
 
-// linearDep is the dependency-table scan FS.seal used to run per path.
+// linearDep is the dependency-table scan layouts used to run per path.
 func linearDep(path string) Dep {
 	for _, r := range depTable {
 		if r.Pattern == path || matchPattern(r.Pattern, path) {
@@ -37,7 +37,7 @@ func linearDep(path string) Dep {
 	return depAll
 }
 
-// linearLookup is the rule-by-rule Policy.Lookup.
+// linearLookup is the rule-by-rule scan a Mount's policy decision replaced.
 func linearLookup(p Policy, path string) (Rule, bool) {
 	for _, r := range p.Rules {
 		if matchPattern(r.Pattern, path) {
@@ -53,8 +53,18 @@ var (
 	LinearLookup = linearLookup
 )
 
+// rule returns Rules[i], or ok false for the no-match position -1.
+func (p Policy) rule(i int) (Rule, bool) {
+	if i < 0 {
+		return Rule{}, false
+	}
+	return p.Rules[i], true
+}
+
 // LookupRule exposes the mount's policy decision for a path.
-func (m *Mount) LookupRule(path string) (Rule, bool) { return m.lookupRule(path) }
+func (m *Mount) LookupRule(path string) (Rule, bool) {
+	return m.policy.rule(m.ruleAt(m.fs.position(path), path))
+}
 
 // MountPolicy exposes the policy the mount was built with.
 func (m *Mount) MountPolicy() Policy { return m.policy }

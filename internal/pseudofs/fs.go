@@ -2,13 +2,16 @@
 // and sysfs) that the paper identifies as the main user-kernel interface
 // left behind by container adaptation.
 //
-// A FS is a flat map from absolute paths to handler functions. Each handler
-// receives the reading View — which namespace set and cgroup the reader
-// belongs to — and renders file content from live kernel state. Handlers
-// written against the *global* kernel accessors reproduce Linux 4.7's
-// missing-namespace-check bugs (the leakage channels of Table I); handlers
-// written against the NS-aware accessors model correctly containerized
-// files.
+// The tree's shape — its sorted paths, each path's dependency tag and its
+// render function — is an immutable layout computed once per (Hardware,
+// core count) and shared by every FS of that shape; a path's position in
+// the layout is its identity on every read path. A FS adds only its kernel,
+// its providers and position-indexed overrides. Each render receives the
+// reading View — which namespace set and cgroup the reader belongs to —
+// and renders file content from live kernel state. Renders written against
+// the *global* kernel accessors reproduce Linux 4.7's missing-namespace-
+// check bugs (the leakage channels of Table I); renders written against
+// the NS-aware accessors model correctly containerized files.
 //
 // Mount combines an FS with a View and a masking Policy, modeling both what
 // container runtimes mount read-only into every container and the
@@ -19,7 +22,6 @@ package pseudofs
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -61,7 +63,8 @@ func HostView(k *kernel.Kernel) View {
 }
 
 // Handler renders one pseudo-file for a given reader by appending the
-// content to dst and returning the extended buffer. The append style keeps
+// content to dst and returning the extended buffer. Replace installs one
+// over a path's layout render. The append style keeps
 // the hot sampling paths (energy counters, cpuacct, per-CPU tables)
 // allocation-free: callers own the buffer, handlers never retain it, and
 // the scalar helpers in render.go replace the historical fmt.Sprintf
@@ -100,28 +103,26 @@ type Injector interface {
 // FS is one host's pseudo-filesystem tree (both /proc and /sys). Build it
 // with Build; read through a Mount.
 type FS struct {
-	k        *kernel.Kernel
-	files    map[string]Handler
+	k   *kernel.Kernel
+	lay *layout // shared and immutable; the path set never changes
+
 	energy   EnergyProvider
 	thermal  ThermalProvider
 	injector Injector
 
+	// override holds Replace's handlers by layout position; nil until the
+	// first Replace, and a nil slot renders the layout's function.
+	override []Handler
+
 	// Source-epoch bookkeeping for the incremental scan engine (deps.go).
 	// fsGen counts FS-wide render-path changes (provider/injector swaps);
-	// replaceGen counts per-path handler replacements; totalReplaceGen is
-	// the sum of replaceGen. All mutations happen at setup/defense-install
-	// time on the clock thread, never during concurrent scans.
+	// replaceGen counts handler replacements by layout position (nil until
+	// the first Replace); totalReplaceGen is their sum. All mutations
+	// happen at setup/defense-install time on the clock thread, never
+	// during concurrent scans.
 	fsGen           uint64
-	replaceGen      map[string]uint64
+	replaceGen      []uint64
 	totalReplaceGen uint64
-
-	// deps and sortedPaths are precomputed at Build time: the file set is
-	// sealed once Build returns (Replace swaps handlers in place, never
-	// adds paths), so the dependency lookup (one depIndex query per path)
-	// and the path sort run once per FS instead of once per lookup on the
-	// recurring-scan hot path.
-	deps        map[string]Dep
-	sortedPaths []string
 
 	// renders counts handler invocations (genuine pseudo-file renders).
 	// The incremental engine's "zero re-renders on an unmutated kernel"
@@ -166,32 +167,16 @@ type Hardware struct {
 // DefaultHardware is a modern host with every sensor the paper uses.
 func DefaultHardware() Hardware { return Hardware{HasRAPL: true, HasCoretemp: true} }
 
-// Build constructs the full /proc and /sys tree over the kernel.
+// Build constructs the full /proc and /sys tree over the kernel: it points
+// a new FS at the shared layout of the host's hardware and core count.
 func Build(k *kernel.Kernel, hw Hardware) *FS {
-	fs := &FS{
-		k:          k,
-		files:      make(map[string]Handler, 128),
-		energy:     rawEnergy{meter: k.Meter()},
-		thermal:    rawThermal{meter: k.Meter(), cores: k.Options().Cores},
-		replaceGen: make(map[string]uint64),
+	cores := k.Options().Cores
+	return &FS{
+		k:       k,
+		lay:     layoutFor(layoutKey{hw: hw, cores: cores}),
+		energy:  rawEnergy{meter: k.Meter()},
+		thermal: rawThermal{meter: k.Meter(), cores: cores},
 	}
-	fs.buildProc()
-	fs.buildSys(hw)
-	fs.seal()
-	return fs
-}
-
-// seal freezes the file set: precomputes the sorted path list and every
-// path's dependency tag. Build is the only caller; after it returns, paths
-// are never added or removed (Replace swaps handlers in place).
-func (fs *FS) seal() {
-	fs.sortedPaths = make([]string, 0, len(fs.files))
-	fs.deps = make(map[string]Dep, len(fs.files))
-	for p := range fs.files {
-		fs.sortedPaths = append(fs.sortedPaths, p)
-		fs.deps[p] = lookupDep(p)
-	}
-	sort.Strings(fs.sortedPaths)
 }
 
 // SetEnergyProvider swaps the RAPL read path; the power-based namespace
@@ -232,62 +217,55 @@ func (fs *FS) SetInjector(i Injector) {
 // Kernel returns the kernel this FS renders.
 func (fs *FS) Kernel() *kernel.Kernel { return fs.k }
 
-// add registers a file handler; it panics on duplicates, which are always
-// builder bugs.
-func (fs *FS) add(path string, h Handler) {
-	if _, dup := fs.files[path]; dup {
-		panic(fmt.Sprintf("pseudofs: duplicate file %s", path))
-	}
-	fs.files[path] = h
-}
-
 // Replace swaps the handler of an existing file — how stage-2 namespace
 // fixes retrofit leaky handlers with namespace-aware ones without changing
 // paths. It panics if the file does not exist (a fix for a non-existent
 // channel is always a bug).
 func (fs *FS) Replace(path string, h Handler) {
-	if _, ok := fs.files[path]; !ok {
+	i, ok := fs.lay.index[path]
+	if !ok {
 		panic(fmt.Sprintf("pseudofs: Replace of unknown file %s", path))
 	}
-	fs.files[path] = h
+	if fs.override == nil {
+		fs.override = make([]Handler, len(fs.lay.paths))
+		fs.replaceGen = make([]uint64, len(fs.lay.paths))
+	}
+	fs.override[i] = h
 	// Handler identity changed: advance the path's render generation so
 	// the incremental engine never serves a pre-fix render post-fix.
-	fs.replaceGen[path]++
+	fs.replaceGen[i]++
 	fs.totalReplaceGen++
 }
 
-// static registers a file whose content ignores the reader entirely.
-func (fs *FS) static(path, content string) {
-	fs.add(path, func(dst []byte, _ View) ([]byte, error) {
-		return append(dst, content...), nil
-	})
-}
-
-// Paths returns every file path in sorted order. The order is computed
-// once at Build time (the file set is sealed); callers get a fresh copy so
-// they may mutate the slice freely.
+// Paths returns every file path in sorted order; a path's index in it is
+// its layout position. Callers get a fresh copy so they may mutate the
+// slice freely.
 func (fs *FS) Paths() []string {
-	if fs.sortedPaths != nil {
-		out := make([]string, len(fs.sortedPaths))
-		copy(out, fs.sortedPaths)
-		return out
-	}
-	out := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), fs.lay.paths...)
 }
 
-// appendFile renders a file for a view into dst, without masking.
-func (fs *FS) appendFile(dst []byte, path string, v View) ([]byte, error) {
-	h, ok := fs.files[path]
-	if !ok {
-		return dst, fmt.Errorf("%w: %s", ErrNotExist, path)
+// position returns the layout position of path, or -1 when the tree has
+// no such file.
+func (fs *FS) position(path string) int {
+	if i, ok := fs.lay.index[path]; ok {
+		return int(i)
+	}
+	return -1
+}
+
+// appendAt renders the file at layout position i for a view into dst,
+// without masking; i < 0 is the absent path.
+func (fs *FS) appendAt(dst []byte, i int, path string, v View) ([]byte, error) {
+	if i < 0 {
+		return dst, &pathError{err: ErrNotExist, path: path}
 	}
 	fs.renders.Add(1)
-	return h(dst, v)
+	if fs.override != nil {
+		if h := fs.override[i]; h != nil {
+			return h(dst, v)
+		}
+	}
+	return fs.lay.render[i](fs, fs.lay.arg[i], dst, v)
 }
 
 // Renders returns the cumulative number of handler invocations (genuine
@@ -336,21 +314,6 @@ func (p Policy) Index() *GlobIndex {
 		patterns[i] = r.Pattern
 	}
 	return CompileGlobs(patterns)
-}
-
-// Lookup returns the first matching rule for a path; ok is false when no
-// rule matches (default Allow). It compiles the policy on every call; a
-// Mount compiles its policy once.
-func (p Policy) Lookup(path string) (Rule, bool) {
-	return p.rule(p.Index().First(path))
-}
-
-// rule returns Rules[i], or ok false for the no-match position -1.
-func (p Policy) rule(i int) (Rule, bool) {
-	if i < 0 {
-		return Rule{}, false
-	}
-	return p.Rules[i], true
 }
 
 // matchPattern implements the limited glob language of Rule. It walks both
@@ -411,14 +374,14 @@ type Mount struct {
 	view   View
 	policy Policy
 	// rules is the policy compiled once (nil when it has no rules), and
-	// ruleIdx its decision per registered path: the position of the first
+	// ruleIdx its decision by layout position: the index of the first
 	// matching rule, or -1 for "no rule matches" (default Allow). A Mount's
 	// policy is immutable after construction (ApplyPolicy builds a new
-	// Mount) and the FS path set is sealed at Build time, so both are
-	// precomputed here and read concurrently without locks. A read of a
-	// registered path costs one map probe; other paths ask the index.
+	// Mount) and the FS path set never changes, so both are precomputed
+	// here and read concurrently without locks. Paths outside the layout
+	// ask the index.
 	rules   *GlobIndex
-	ruleIdx map[string]int16
+	ruleIdx []int16
 }
 
 // NewMount mounts fs for the given view under the given policy.
@@ -426,29 +389,27 @@ func NewMount(fs *FS, v View, p Policy) *Mount {
 	m := &Mount{fs: fs, view: v, policy: p}
 	if len(p.Rules) > 0 {
 		m.rules = p.Index()
-		m.ruleIdx = make(map[string]int16, len(fs.sortedPaths))
-		for _, path := range fs.sortedPaths {
-			m.ruleIdx[path] = int16(m.rules.First(path))
+		m.ruleIdx = make([]int16, len(fs.lay.paths))
+		for i, path := range fs.lay.paths {
+			m.ruleIdx[i] = int16(m.rules.First(path))
 		}
 	}
 	return m
 }
 
-// lookupRule is Policy.Lookup served from the mount's precomputed
-// decisions; policy checks sit on the hot path of every power/thermal
-// sample (the stable-read loop in attack.PowerMonitor issues several per
-// tick).
-func (m *Mount) lookupRule(path string) (Rule, bool) {
-	if idx, ok := m.ruleIdx[path]; ok {
-		if idx < 0 {
-			return Rule{}, false
-		}
-		return m.policy.Rules[idx], true
+// ruleAt returns the index of the rule deciding a read of layout position
+// i (or, with i < 0, of path outside the layout), or -1 when no rule
+// matches. Policy checks sit on the hot path of every power/thermal sample
+// (the stable-read loop in attack.PowerMonitor issues several per tick).
+func (m *Mount) ruleAt(i int, path string) int {
+	switch {
+	case m.rules == nil:
+		return -1
+	case i >= 0:
+		return int(m.ruleIdx[i])
+	default:
+		return m.rules.First(path)
 	}
-	if m.rules == nil {
-		return Rule{}, false
-	}
-	return m.policy.rule(m.rules.First(path))
 }
 
 // View returns the mount's reader context.
@@ -486,7 +447,17 @@ func (m *Mount) AppendRead(dst []byte, path string) ([]byte, error) {
 		}
 		return append(dst, s...), nil
 	}
-	return m.appendPolicied(dst, path)
+	return m.appendPolicied(dst, m.fs.position(path), path)
+}
+
+// AppendReadAt is AppendRead of the file at layout position i (the index
+// of its path in Paths): the same bytes and errors, without a path lookup.
+func (m *Mount) AppendReadAt(dst []byte, i int) ([]byte, error) {
+	path := m.fs.lay.paths[i]
+	if m.fs.injector != nil {
+		return m.AppendRead(dst, path)
+	}
+	return m.appendPolicied(dst, i, path)
 }
 
 // readPolicied is the string form of the genuine read, used by the compat
@@ -494,7 +465,7 @@ func (m *Mount) AppendRead(dst []byte, path string) ([]byte, error) {
 // only allocation is the returned string itself.
 func (m *Mount) readPolicied(path string) (string, error) {
 	bp := bufPool.Get().(*[]byte)
-	b, err := m.appendPolicied((*bp)[:0], path)
+	b, err := m.appendPolicied((*bp)[:0], m.fs.position(path), path)
 	s := string(b)
 	*bp = b[:0]
 	bufPool.Put(bp)
@@ -504,21 +475,25 @@ func (m *Mount) readPolicied(path string) (string, error) {
 	return s, nil
 }
 
-// appendPolicied is the genuine read: masking policy first, then the
-// handler, appended to dst.
-func (m *Mount) appendPolicied(dst []byte, path string) ([]byte, error) {
-	rule, matched := m.lookupRule(path)
-	if matched {
+// appendPolicied is the genuine read of path, at layout position i (-1
+// when the tree has no such file): masking policy first, then the render,
+// appended to dst.
+func (m *Mount) appendPolicied(dst []byte, i int, path string) ([]byte, error) {
+	if r := m.ruleAt(i, path); r >= 0 {
+		rule := &m.policy.Rules[r]
 		switch rule.Do {
 		case Deny:
-			return dst, fmt.Errorf("%w: %s", ErrDenied, path)
+			if i >= 0 {
+				return dst, m.fs.lay.denied[i]
+			}
+			return dst, &pathError{err: ErrDenied, path: path}
 		case Empty:
 			return dst, nil
 		case Filter:
 			// Filter rules keep their string Transform signature; render
 			// into a scratch buffer and transform the resulting string.
 			bp := bufPool.Get().(*[]byte)
-			b, err := m.fs.appendFile((*bp)[:0], path, m.view)
+			b, err := m.fs.appendAt((*bp)[:0], i, path, m.view)
 			content := string(b)
 			*bp = b[:0]
 			bufPool.Put(bp)
@@ -531,7 +506,7 @@ func (m *Mount) appendPolicied(dst []byte, path string) ([]byte, error) {
 			return append(dst, rule.Transform(content)...), nil
 		}
 	}
-	return m.fs.appendFile(dst, path, m.view)
+	return m.fs.appendAt(dst, i, path, m.view)
 }
 
 // Paths lists every path present in the underlying FS. Denied files remain

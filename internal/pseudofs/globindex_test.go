@@ -6,8 +6,8 @@ import (
 	"repro/internal/kernel"
 )
 
-// BenchmarkDepLookup resolves the dependency tag of every sealed path, as
-// FS.seal does once per Build, through the compiled index and through the
+// BenchmarkDepLookup resolves the dependency tag of every tree path, as
+// a layout does once per key, through the compiled index and through the
 // linear table scan it replaced.
 func BenchmarkDepLookup(b *testing.B) {
 	k := kernel.New(kernel.Options{Hostname: "bench", Seed: 1})

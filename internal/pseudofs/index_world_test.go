@@ -76,7 +76,7 @@ func overlapRegistry() []core.Channel {
 
 // TestIndexMatchesLinearScanInEveryWorld is the world-level differential
 // test of the glob index. For every provider, every runtime target and a
-// defended world, each sealed path (and a few paths outside the tree) must
+// defended world, each tree path (and a few paths outside the tree) must
 // get the dependency tag and the mount policy decision the linear scans
 // give, and RollUp and Discover must equal their reference loops, Files
 // order included, over the Table I, matrix and overlapping registries.

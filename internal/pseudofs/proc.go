@@ -6,23 +6,22 @@ import (
 	"repro/internal/kernel"
 )
 
-// buildProc wires the /proc tree. Handlers flagged "GLOBAL" read
-// kernel-wide state with no namespace check — those are the leakage
-// channels; handlers flagged "NAMESPACED" consult the reader's View and
-// model correctly containerized files.
+// proc lays out the /proc tree of a host with the given core count.
+// Renders flagged "GLOBAL" read kernel-wide state with no namespace check
+// — those are the leakage channels; renders flagged "NAMESPACED" consult
+// the reader's View and model correctly containerized files.
 //
-// Handlers append into the caller's buffer (see Handler and render.go);
+// Renders append into the caller's buffer (see render and render.go);
 // every formatting helper reproduces the historical fmt verb bit for bit,
 // which the render-property test asserts per registered path.
-func (fs *FS) buildProc() {
-	k := fs.k
+func (l *layoutBuilder) proc(cores int) {
 
 	// --- GLOBAL channels (Table I) -------------------------------------
 
 	// /proc/uptime: host uptime and aggregate idle time, regardless of
 	// when the container started.
-	fs.add("/proc/uptime", func(b []byte, _ View) ([]byte, error) {
-		up, idle := k.Uptime()
+	l.add("/proc/uptime", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		up, idle := fs.k.Uptime()
 		b = apFloat(b, up, 2)
 		b = append(b, ' ')
 		b = apFloat(b, idle, 2)
@@ -30,14 +29,14 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/version: host kernel build string.
-	fs.add("/proc/version", func(b []byte, _ View) ([]byte, error) {
-		b = append(b, k.KernelVersion()...)
+	l.add("/proc/version", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		b = append(b, fs.k.KernelVersion()...)
 		return append(b, '\n'), nil
 	})
 
 	// /proc/loadavg: host-wide run queue.
-	fs.add("/proc/loadavg", func(b []byte, _ View) ([]byte, error) {
-		la := k.LoadAvgSnapshot()
+	l.add("/proc/loadavg", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		la := fs.k.LoadAvgSnapshot()
 		b = apFloat(b, la.Load1, 2)
 		b = append(b, ' ')
 		b = apFloat(b, la.Load5, 2)
@@ -53,8 +52,8 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/meminfo: physical host memory, not the cgroup limit.
-	fs.add("/proc/meminfo", func(b []byte, _ View) ([]byte, error) {
-		mi := k.MeminfoSnapshot()
+	l.add("/proc/meminfo", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		mi := fs.k.MeminfoSnapshot()
 		row := func(b []byte, name string, kb uint64) []byte {
 			b = append(b, name...)
 			b = append(b, ':')
@@ -76,13 +75,13 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/zoneinfo: physical RAM zone watermarks.
-	fs.add("/proc/zoneinfo", func(b []byte, _ View) ([]byte, error) {
+	l.add("/proc/zoneinfo", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
 		zrow := func(b []byte, label string, v uint64) []byte {
 			b = append(b, label...)
 			b = apUint(b, v)
 			return append(b, '\n')
 		}
-		for _, z := range k.ZoneSnapshot() {
+		for _, z := range fs.k.ZoneSnapshot() {
 			b = append(b, "Node 0, zone "...)
 			b = apPadStr(b, 8, z.Name)
 			b = append(b, '\n')
@@ -98,8 +97,8 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/stat: kernel activity since boot.
-	fs.add("/proc/stat", func(b []byte, _ View) ([]byte, error) {
-		s := k.StatSnapshot()
+	l.add("/proc/stat", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		s := fs.k.StatSnapshot()
 		var tot [7]float64
 		for _, c := range s.PerCPU {
 			tot[0] += c.User
@@ -152,8 +151,8 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/cpuinfo: physical CPU description.
-	fs.add("/proc/cpuinfo", func(b []byte, _ View) ([]byte, error) {
-		for _, c := range k.CPUInfoSnapshot() {
+	l.add("/proc/cpuinfo", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		for _, c := range fs.k.CPUInfoSnapshot() {
 			b = append(b, "processor\t: "...)
 			b = apInt(b, int64(c.Processor))
 			b = append(b, "\nvendor_id\t: GenuineIntel\nmodel name\t: "...)
@@ -170,13 +169,13 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/interrupts: per-IRQ counters for the whole host.
-	fs.add("/proc/interrupts", func(b []byte, _ View) ([]byte, error) {
+	l.add("/proc/interrupts", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
 		b = append(b, "           "...)
-		for i := 0; i < k.Options().Cores; i++ {
+		for i := 0; i < fs.k.Options().Cores; i++ {
 			b = apCPULabel(b, 12, i)
 		}
 		b = append(b, '\n')
-		for _, irq := range k.Interrupts() {
+		for _, irq := range fs.k.Interrupts() {
 			b = apPadStr(b, 4, irq.Name)
 			b = append(b, ':')
 			for _, v := range irq.PerCPU {
@@ -190,13 +189,13 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/softirqs: softirq handler invocation counts.
-	fs.add("/proc/softirqs", func(b []byte, _ View) ([]byte, error) {
+	l.add("/proc/softirqs", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
 		b = append(b, "           "...)
-		for i := 0; i < k.Options().Cores; i++ {
+		for i := 0; i < fs.k.Options().Cores; i++ {
 			b = apCPULabel(b, 12, i)
 		}
 		b = append(b, '\n')
-		for _, s := range k.SoftIRQs() {
+		for _, s := range fs.k.SoftIRQs() {
 			b = apPadStr(b, 8, s.Name)
 			b = append(b, ':')
 			for _, v := range s.PerCPU {
@@ -208,11 +207,11 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/schedstat: scheduler statistics per cpu.
-	fs.add("/proc/schedstat", func(b []byte, _ View) ([]byte, error) {
+	l.add("/proc/schedstat", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
 		b = append(b, "version 15\ntimestamp "...)
-		b = apInt(b, int64(k.Now()*250))
+		b = apInt(b, int64(fs.k.Now()*250))
 		b = append(b, '\n')
-		for i, c := range k.SchedStatSnapshot() {
+		for i, c := range fs.k.SchedStatSnapshot() {
 			b = append(b, "cpu"...)
 			b = apInt(b, int64(i))
 			b = append(b, " 0 0 0 0 0 0 "...)
@@ -228,13 +227,13 @@ func (fs *FS) buildProc() {
 
 	// /proc/sched_debug: dumps EVERY task on the host with its name — the
 	// paper's favourite signature-implant channel.
-	fs.add("/proc/sched_debug", func(b []byte, _ View) ([]byte, error) {
+	l.add("/proc/sched_debug", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
 		b = append(b, "Sched Debug Version: v0.11, 4.7.0-repro\nktime : "...)
-		b = apFloat(b, k.Now()*1000, 6)
+		b = apFloat(b, fs.k.Now()*1000, 6)
 		b = append(b, "\n\nrunnable tasks:\n"...)
 		b = append(b, "            task   PID         tree-key  switches  prio\n"...)
 		b = append(b, "-----------------------------------------------------\n"...)
-		for _, t := range k.Tasks() {
+		for _, t := range fs.k.Tasks() {
 			if t.DemandCores > 0 {
 				b = append(b, 'R')
 			} else {
@@ -245,20 +244,20 @@ func (fs *FS) buildProc() {
 			b = append(b, ' ')
 			b = apPadInt(b, 5, int64(t.HostPID))
 			b = append(b, ' ')
-			b = apPadFloat(b, 16, 6, k.Now()*100)
+			b = apPadFloat(b, 16, 6, fs.k.Now()*100)
 			b = append(b, ' ')
-			b = apPadInt(b, 9, int64(k.Now()*50))
+			b = apPadInt(b, 9, int64(fs.k.Now()*50))
 			b = append(b, "   120\n"...)
 		}
 		return b, nil
 	})
 
 	// /proc/timer_list: armed timers with their owning task names.
-	fs.add("/proc/timer_list", func(b []byte, _ View) ([]byte, error) {
+	l.add("/proc/timer_list", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
 		b = append(b, "Timer List Version: v0.8\nHRTIMER_MAX_CLOCK_BASES: 4\nnow at "...)
-		b = apInt(b, int64(k.Now()*1e9))
+		b = apInt(b, int64(fs.k.Now()*1e9))
 		b = append(b, " nsecs\n\n"...)
-		for i, t := range k.TimerOwners() {
+		for i, t := range fs.k.TimerOwners() {
 			b = append(b, " #"...)
 			b = apInt(b, int64(i))
 			b = append(b, ": <0000000000000000>, hrtimer_wakeup, S:01, futex_wait_queue_me, "...)
@@ -266,17 +265,17 @@ func (fs *FS) buildProc() {
 			b = append(b, '/')
 			b = apInt(b, int64(t.HostPID))
 			b = append(b, "\n # expires at "...)
-			b = apInt(b, int64(k.Now()*1e9))
+			b = apInt(b, int64(fs.k.Now()*1e9))
 			b = append(b, '-')
-			b = apInt(b, int64(k.Now()*1e9)+50000)
+			b = apInt(b, int64(fs.k.Now()*1e9)+50000)
 			b = append(b, " nsecs [in 1000000 to 1050000 nsecs]\n"...)
 		}
 		return b, nil
 	})
 
 	// /proc/locks: the global file-lock table.
-	fs.add("/proc/locks", func(b []byte, _ View) ([]byte, error) {
-		for _, l := range k.FileLocks() {
+	l.add("/proc/locks", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		for _, l := range fs.k.FileLocks() {
 			b = apInt(b, int64(l.ID))
 			b = append(b, ": "...)
 			b = append(b, l.Type...)
@@ -294,8 +293,8 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/modules: loaded kernel modules.
-	fs.add("/proc/modules", func(b []byte, _ View) ([]byte, error) {
-		for _, m := range k.Modules() {
+	l.add("/proc/modules", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		for _, m := range fs.k.Modules() {
 			b = append(b, m...)
 			b = append(b, " - Live 0x0000000000000000\n"...)
 		}
@@ -303,23 +302,23 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/sys/fs/*: VFS object counts.
-	fs.add("/proc/sys/fs/dentry-state", func(b []byte, _ View) ([]byte, error) {
-		v := k.VFSSnapshot()
+	l.add("/proc/sys/fs/dentry-state", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		v := fs.k.VFSSnapshot()
 		b = apUint(b, v.Dentries)
 		b = append(b, '\t')
 		b = apUint(b, v.DentryUnused)
 		b = append(b, "\t45\t0\t0\t0\n"...)
 		return b, nil
 	})
-	fs.add("/proc/sys/fs/inode-nr", func(b []byte, _ View) ([]byte, error) {
-		v := k.VFSSnapshot()
+	l.add("/proc/sys/fs/inode-nr", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		v := fs.k.VFSSnapshot()
 		b = apUint(b, v.Inodes)
 		b = append(b, '\t')
 		b = apUint(b, v.InodesFree)
 		return append(b, '\n'), nil
 	})
-	fs.add("/proc/sys/fs/file-nr", func(b []byte, _ View) ([]byte, error) {
-		v := k.VFSSnapshot()
+	l.add("/proc/sys/fs/file-nr", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		v := fs.k.VFSSnapshot()
 		b = apUint(b, v.FilesOpen)
 		b = append(b, "\t0\t"...)
 		b = apUint(b, v.FilesMax)
@@ -327,33 +326,32 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/sys/kernel/random/*.
-	fs.add("/proc/sys/kernel/random/boot_id", func(b []byte, _ View) ([]byte, error) {
-		b = append(b, k.BootID()...)
+	l.add("/proc/sys/kernel/random/boot_id", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		b = append(b, fs.k.BootID()...)
 		return append(b, '\n'), nil
 	})
-	fs.add("/proc/sys/kernel/random/entropy_avail", func(b []byte, _ View) ([]byte, error) {
-		b = apInt(b, int64(k.EntropyAvail()))
+	l.add("/proc/sys/kernel/random/entropy_avail", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		b = apInt(b, int64(fs.k.EntropyAvail()))
 		return append(b, '\n'), nil
 	})
-	fs.add("/proc/sys/kernel/random/uuid", func(b []byte, _ View) ([]byte, error) {
-		b = append(b, k.GenUUID()...)
+	l.add("/proc/sys/kernel/random/uuid", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		b = append(b, fs.k.GenUUID()...)
 		return append(b, '\n'), nil
 	})
 
 	// /proc/sys/kernel/sched_domain/cpu#/domain0/max_newidle_lb_cost.
-	for i := 0; i < k.Options().Cores; i++ {
-		cpu := i
-		fs.add(fmt.Sprintf("/proc/sys/kernel/sched_domain/cpu%d/domain0/max_newidle_lb_cost", i),
-			func(b []byte, _ View) ([]byte, error) {
-				b = apUint(b, k.NewidleCost()[cpu])
+	for cpu := 0; cpu < cores; cpu++ {
+		l.add(fmt.Sprintf("/proc/sys/kernel/sched_domain/cpu%d/domain0/max_newidle_lb_cost", cpu), int32(cpu),
+			func(fs *FS, cpu int32, b []byte, _ View) ([]byte, error) {
+				b = apUint(b, fs.k.NewidleCost()[cpu])
 				return append(b, '\n'), nil
 			})
 	}
 
 	// /proc/fs/ext4/sda1/mb_groups: allocator state of the host disk.
-	fs.add("/proc/fs/ext4/sda1/mb_groups", func(b []byte, _ View) ([]byte, error) {
+	l.add("/proc/fs/ext4/sda1/mb_groups", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
 		b = append(b, "#group: free  frags first [ 2^0   2^1   2^2   2^3   2^4   2^5   2^6 ]\n"...)
-		for i, g := range k.Ext4GroupSnapshot() {
+		for i, g := range fs.k.Ext4GroupSnapshot() {
 			b = append(b, '#')
 			b = apInt(b, int64(i))
 			b = append(b, "    : "...)
@@ -380,7 +378,7 @@ func (fs *FS) buildProc() {
 	// runtimes of the era did not unshare it, so a container sees its full
 	// host-side cgroup path (e.g. /docker/<id>) — different from the
 	// host's root path, and itself a mild identity leak.
-	fs.add("/proc/self/cgroup", func(b []byte, v View) ([]byte, error) {
+	l.add("/proc/self/cgroup", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
 		path := v.CgroupPath
 		for i, ctrl := range [...]string{"perf_event", "net_cls,net_prio", "cpuset", "cpu,cpuacct", "memory"} {
 			b = apInt(b, int64(11-i))
@@ -394,10 +392,10 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/sys/kernel/hostname respects the UTS namespace.
-	fs.add("/proc/sys/kernel/hostname", func(b []byte, v View) ([]byte, error) {
+	l.add("/proc/sys/kernel/hostname", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
 		ns := v.NS
 		if ns == nil {
-			ns = k.InitNS()
+			ns = fs.k.InitNS()
 		}
 		b = append(b, ns.Hostname...)
 		return append(b, '\n'), nil
@@ -405,23 +403,23 @@ func (fs *FS) buildProc() {
 
 	// /proc/net/dev respects the NET namespace: containers see their veth
 	// pair only.
-	fs.add("/proc/net/dev", func(b []byte, v View) ([]byte, error) {
+	l.add("/proc/net/dev", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
 		ns := v.NS
 		if ns == nil {
-			ns = k.InitNS()
+			ns = fs.k.InitNS()
 		}
 		b = append(b, "Inter-|   Receive                |  Transmit\n"...)
 		b = append(b, " face |bytes    packets errs drop|bytes    packets errs drop\n"...)
-		for _, d := range k.NetDevices(ns) {
+		for _, d := range fs.k.NetDevices(ns) {
 			b = apPadStr(b, 6, d.Name)
 			b = append(b, ": "...)
-			b = apPadInt(b, 8, int64(k.Now()*1000))
+			b = apPadInt(b, 8, int64(fs.k.Now()*1000))
 			b = append(b, ' ')
-			b = apPadInt(b, 8, int64(k.Now()*10))
+			b = apPadInt(b, 8, int64(fs.k.Now()*10))
 			b = append(b, "    0    0 "...)
-			b = apPadInt(b, 8, int64(k.Now()*800))
+			b = apPadInt(b, 8, int64(fs.k.Now()*800))
 			b = append(b, ' ')
-			b = apPadInt(b, 8, int64(k.Now()*8))
+			b = apPadInt(b, 8, int64(fs.k.Now()*8))
 			b = append(b, "    0    0\n"...)
 		}
 		return b, nil
@@ -429,10 +427,10 @@ func (fs *FS) buildProc() {
 
 	// /proc/sysvipc/shm respects the IPC namespace — the positive control
 	// showing what a *completed* container adaptation looks like.
-	fs.add("/proc/sysvipc/shm", func(b []byte, v View) ([]byte, error) {
+	l.add("/proc/sysvipc/shm", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
 		ns := v.NS
 		if ns == nil {
-			ns = k.InitNS()
+			ns = fs.k.InitNS()
 		}
 		b = append(b, "       key      shmid perms                  size  cpid  lpid nattch   uid   gid\n"...)
 		for _, seg := range ns.ShmSegments() {
@@ -452,18 +450,16 @@ func (fs *FS) buildProc() {
 
 	// /proc/self/ns/*: the namespace identifiers themselves — different
 	// per container by construction.
-	for _, nt := range []kernelNSType{
-		{"mnt", 1}, {"uts", 2}, {"pid", 3}, {"net", 4}, {"ipc", 5}, {"user", 6}, {"cgroup", 7},
-	} {
-		nt := nt
-		fs.add("/proc/self/ns/"+nt.name, func(b []byte, v View) ([]byte, error) {
+	// The argument is the kernel.NSType.
+	for typ := kernel.NSType(1); int(typ) < len(nsNames); typ++ {
+		l.add("/proc/self/ns/"+nsNames[typ], int32(typ), func(fs *FS, typ int32, b []byte, v View) ([]byte, error) {
 			ns := v.NS
 			if ns == nil {
-				ns = k.InitNS()
+				ns = fs.k.InitNS()
 			}
-			b = append(b, nt.name...)
+			b = append(b, nsNames[typ]...)
 			b = append(b, ":["...)
-			b = apUint(b, ns.ID(nt.typ()))
+			b = apUint(b, ns.ID(kernel.NSType(typ)))
 			b = append(b, "]\n"...)
 			return b, nil
 		})
@@ -471,8 +467,9 @@ func (fs *FS) buildProc() {
 
 	// /proc/filesystems: identical everywhere by design (not a leak worth
 	// ranking, but the detector must still classify it).
-	fs.static("/proc/filesystems",
-		"nodev\tsysfs\nnodev\tproc\nnodev\ttmpfs\nnodev\tdevtmpfs\n\text4\n\text3\n")
+	l.add("/proc/filesystems", 0, func(_ *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		return append(b, "nodev\tsysfs\nnodev\tproc\nnodev\ttmpfs\nnodev\tdevtmpfs\n\text4\n\text3\n"...), nil
+	})
 
 	// --- GLOBAL channels beyond Table I --------------------------------
 	// The paper's study was systematic but a snapshot; these additional
@@ -480,8 +477,8 @@ func (fs *FS) buildProc() {
 	// detector discovers them without registry help (leakscan -discover).
 
 	// /proc/vmstat: global VM event counters.
-	fs.add("/proc/vmstat", func(b []byte, _ View) ([]byte, error) {
-		v := k.VMStatSnapshot()
+	l.add("/proc/vmstat", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		v := fs.k.VMStatSnapshot()
 		b = append(b, "nr_free_pages "...)
 		b = apUint(b, v.FreePages)
 		b = append(b, "\npgfault "...)
@@ -494,8 +491,8 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/diskstats: host block-device IO counters.
-	fs.add("/proc/diskstats", func(b []byte, _ View) ([]byte, error) {
-		d := k.DiskStatSnapshot()
+	l.add("/proc/diskstats", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		d := fs.k.DiskStatSnapshot()
 		b = append(b, "   8       0 sda "...)
 		b = apUint(b, d.SectorsRead/8)
 		b = append(b, " 120 "...)
@@ -517,9 +514,9 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/buddyinfo: physical-memory fragmentation per order.
-	fs.add("/proc/buddyinfo", func(b []byte, _ View) ([]byte, error) {
+	l.add("/proc/buddyinfo", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
 		b = append(b, "Node 0, zone   Normal "...)
-		for _, n := range k.BuddyInfo() {
+		for _, n := range fs.k.BuddyInfo() {
 			b = apPadUint(b, 7, n)
 		}
 		return append(b, '\n'), nil
@@ -527,8 +524,8 @@ func (fs *FS) buildProc() {
 
 	// /proc/net/softnet_stat: per-CPU packet processing — global despite
 	// living under /proc/net (it is per-CPU, not per-namespace, state).
-	fs.add("/proc/net/softnet_stat", func(b []byte, _ View) ([]byte, error) {
-		for _, n := range k.SoftnetSnapshot() {
+	l.add("/proc/net/softnet_stat", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		for _, n := range fs.k.SoftnetSnapshot() {
 			b = apHex08(b, n)
 			b = append(b, " 00000000 00000000 00000000 00000000 00000000 00000000 00000000 00000000 00000000\n"...)
 		}
@@ -536,17 +533,14 @@ func (fs *FS) buildProc() {
 	})
 
 	// /proc/partitions and /proc/swaps: fleet-static host disk layout.
-	fs.static("/proc/partitions",
-		"major minor  #blocks  name\n\n   8        0  250059096 sda\n   8        1  248006656 sda1\n   8        2    2052440 sda2\n")
-	fs.static("/proc/swaps",
-		"Filename\t\t\t\tType\t\tSize\tUsed\tPriority\n/dev/sda2\t\t\t\tpartition\t2052436\t0\t-1\n")
+	l.add("/proc/partitions", 0, func(_ *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		return append(b, "major minor  #blocks  name\n\n   8        0  250059096 sda\n   8        1  248006656 sda1\n   8        2    2052440 sda2\n"...), nil
+	})
+	l.add("/proc/swaps", 0, func(_ *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		return append(b, "Filename\t\t\t\tType\t\tSize\tUsed\tPriority\n/dev/sda2\t\t\t\tpartition\t2052436\t0\t-1\n"...), nil
+	})
 }
 
-// kernelNSType pairs a /proc/self/ns entry name with its kernel.NSType
-// value (MNT=1 … CGROUP=7).
-type kernelNSType struct {
-	name string
-	raw  int
-}
-
-func (n kernelNSType) typ() kernel.NSType { return kernel.NSType(n.raw) }
+// nsNames are the /proc/self/ns entry names, indexed by kernel.NSType
+// (MNT=1 … CGROUP=7).
+var nsNames = [...]string{1: "mnt", 2: "uts", 3: "pid", 4: "net", 5: "ipc", 6: "user", 7: "cgroup"}

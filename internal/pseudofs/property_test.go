@@ -62,7 +62,7 @@ func TestPropertyDenyRuleAlwaysDenies(t *testing.T) {
 	pol := Policy{Rules: []Rule{{Pattern: "/proc/**", Do: Deny}}}
 	f := func(a, b string) bool {
 		path := "/proc/" + sanitizeSegment(a) + "/" + sanitizeSegment(b)
-		r, ok := pol.Lookup(path)
+		r, ok := pol.rule(pol.Index().First(path))
 		return ok && r.Do == Deny
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -77,8 +77,9 @@ func TestPropertyFirstMatchShadowsLaterRules(t *testing.T) {
 			{Pattern: "/x/" + seg, Do: Allow},
 			{Pattern: "/x/**", Do: Deny},
 		}}
-		r1, ok1 := pol.Lookup("/x/" + seg)
-		r2, ok2 := pol.Lookup("/x/" + seg + "0")
+		idx := pol.Index()
+		r1, ok1 := pol.rule(idx.First("/x/" + seg))
+		r2, ok2 := pol.rule(idx.First("/x/" + seg + "0"))
 		return ok1 && r1.Do == Allow && ok2 && r2.Do == Deny
 	}
 	if err := quick.Check(f, nil); err != nil {

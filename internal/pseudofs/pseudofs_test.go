@@ -212,13 +212,14 @@ func TestPolicyFirstMatchWins(t *testing.T) {
 		{Pattern: "/proc/meminfo", Do: Allow},
 		{Pattern: "/proc/**", Do: Deny},
 	}}
-	if r, ok := p.Lookup("/proc/meminfo"); !ok || r.Do != Allow {
+	idx := p.Index()
+	if r, ok := p.rule(idx.First("/proc/meminfo")); !ok || r.Do != Allow {
 		t.Fatal("explicit allow should win")
 	}
-	if r, ok := p.Lookup("/proc/stat"); !ok || r.Do != Deny {
+	if r, ok := p.rule(idx.First("/proc/stat")); !ok || r.Do != Deny {
 		t.Fatal("subtree deny should apply")
 	}
-	if _, ok := p.Lookup("/sys/x"); ok {
+	if _, ok := p.rule(idx.First("/sys/x")); ok {
 		t.Fatal("default should be no-match (allow)")
 	}
 }
@@ -256,13 +257,14 @@ func TestReadUnknownPath(t *testing.T) {
 }
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
-	_, fs := newHost(13)
+	l := layoutBuilder{files: make(map[string]layoutFile)}
+	l.proc(8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate add should panic")
 		}
 	}()
-	fs.add("/proc/uptime", nil)
+	l.add("/proc/uptime", 0, nil)
 }
 
 func TestViewIsHost(t *testing.T) {

@@ -176,3 +176,52 @@ func TestNoInjectorPathIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestReadErrorMessages pins the denied and absent read errors to the
+// messages fmt.Errorf("%w: %s", reason, path) used to build, inside and
+// outside the layout, and keeps them classifiable with errors.Is.
+func TestReadErrorMessages(t *testing.T) {
+	k, fs := newHost(1)
+	m := NewMount(fs, HostView(k), Policy{Rules: []Rule{
+		{Pattern: "/proc/stat", Do: Deny},
+		{Pattern: "/proc/nope/**", Do: Deny},
+	}})
+	for _, c := range []struct {
+		path   string
+		reason error
+	}{
+		{"/proc/stat", ErrDenied},
+		{"/proc/nope/x", ErrDenied},
+		{"/proc/no/such/file", ErrNotExist},
+	} {
+		_, err := m.Read(c.path)
+		want := fmt.Errorf("%w: %s", c.reason, c.path)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("Read(%s) err = %v, want %q", c.path, err, want)
+		}
+		if !errors.Is(err, c.reason) {
+			t.Errorf("Read(%s) err = %v, does not match %v", c.path, err, c.reason)
+		}
+		if _, err2 := m.AppendRead(nil, c.path); err2 == nil || err2.Error() != want.Error() {
+			t.Errorf("AppendRead(%s) err = %v, want %q", c.path, err2, want)
+		}
+	}
+}
+
+// TestReadErrorAllocs pins the cost of failed reads: a denied read of a
+// tree path allocates nothing, an absent path one error.
+func TestReadErrorAllocs(t *testing.T) {
+	k, fs := newHost(1)
+	m := NewMount(fs, HostView(k), Policy{Rules: []Rule{{Pattern: "/proc/stat", Do: Deny}}})
+	buf := make([]byte, 0, 64)
+	i := fs.position("/proc/stat")
+	if n := testing.AllocsPerRun(100, func() { _, _ = m.AppendRead(buf, "/proc/stat") }); n != 0 {
+		t.Errorf("denied AppendRead: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = m.AppendReadAt(buf, i) }); n != 0 {
+		t.Errorf("denied AppendReadAt: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = m.AppendRead(buf, "/proc/no/such/file") }); n != 1 {
+		t.Errorf("absent AppendRead: %v allocs, want 1", n)
+	}
+}

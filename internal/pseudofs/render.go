@@ -58,12 +58,6 @@ func apPadStr(b []byte, width int, s string) []byte {
 	return append(b, s...)
 }
 
-// apStrPadRight appends s like %-*s: left-aligned, space-padded to width.
-func apStrPadRight(b []byte, width int, s string) []byte {
-	b = append(b, s...)
-	return apSpaces(b, width-len(s))
-}
-
 // apFloat appends v like %.*f.
 func apFloat(b []byte, v float64, prec int) []byte {
 	return strconv.AppendFloat(b, v, 'f', prec, 64)

@@ -284,7 +284,10 @@ func preRenderOracle(fs *FS, hw Hardware) map[string]func(View) (string, error) 
 		}
 		return b.String(), nil
 	})
-	for _, nt := range []kernelNSType{
+	for _, nt := range []struct {
+		name string
+		typ  kernel.NSType
+	}{
 		{"mnt", 1}, {"uts", 2}, {"pid", 3}, {"net", 4}, {"ipc", 5}, {"user", 6}, {"cgroup", 7},
 	} {
 		nt := nt
@@ -293,7 +296,7 @@ func preRenderOracle(fs *FS, hw Hardware) map[string]func(View) (string, error) 
 			if ns == nil {
 				ns = k.InitNS()
 			}
-			return fmt.Sprintf("%s:[%d]\n", nt.name, ns.ID(nt.typ())), nil
+			return fmt.Sprintf("%s:[%d]\n", nt.name, ns.ID(nt.typ)), nil
 		})
 	}
 	static("/proc/filesystems",

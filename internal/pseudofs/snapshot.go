@@ -1,60 +1,58 @@
 package pseudofs
 
 // FSState is a point-in-time capture of an FS's mutable surface for the
-// world snapshot machinery. The file *set* is sealed at Build time, but
-// handlers can be swapped (Replace), providers and injectors installed, and
-// the render/generation counters advance; all of that must rewind so a
-// restored world is indistinguishable from a freshly built one, including
-// to the incremental engine's epoch checks.
+// world snapshot machinery. The file *set* is the shared, immutable
+// layout, but handlers can be swapped (Replace), providers and injectors
+// installed, and the render/generation counters advance; all of that must
+// rewind so a restored world is indistinguishable from a freshly built
+// one, including to the incremental engine's epoch checks.
 type FSState struct {
-	files           map[string]Handler
+	override        []Handler
 	energy          EnergyProvider
 	thermal         ThermalProvider
 	injector        Injector
 	fsGen           uint64
-	replaceGen      map[string]uint64
+	replaceGen      []uint64
 	totalReplaceGen uint64
 	renders         uint64
 }
 
 // Snapshot captures the FS's mutable state.
 func (fs *FS) Snapshot() *FSState {
-	s := &FSState{
-		files:           make(map[string]Handler, len(fs.files)),
+	return &FSState{
+		override:        clone(nil, fs.override),
 		energy:          fs.energy,
 		thermal:         fs.thermal,
 		injector:        fs.injector,
 		fsGen:           fs.fsGen,
-		replaceGen:      make(map[string]uint64, len(fs.replaceGen)),
+		replaceGen:      clone(nil, fs.replaceGen),
 		totalReplaceGen: fs.totalReplaceGen,
 		renders:         fs.renders.Load(),
 	}
-	for p, h := range fs.files {
-		s.files[p] = h
-	}
-	for p, g := range fs.replaceGen {
-		s.replaceGen[p] = g
-	}
-	return s
 }
 
 // Restore rewinds the FS to the captured state.
 func (fs *FS) Restore(s *FSState) {
-	for p, h := range s.files {
-		fs.files[p] = h
-	}
+	fs.override = clone(fs.override, s.override)
 	fs.energy = s.energy
 	fs.thermal = s.thermal
 	fs.injector = s.injector
 	fs.fsGen = s.fsGen
-	for p := range fs.replaceGen {
-		if _, ok := s.replaceGen[p]; !ok {
-			delete(fs.replaceGen, p)
-		}
-	}
-	for p, g := range s.replaceGen {
-		fs.replaceGen[p] = g
-	}
+	fs.replaceGen = clone(fs.replaceGen, s.replaceGen)
 	fs.totalReplaceGen = s.totalReplaceGen
 	fs.renders.Store(s.renders)
+}
+
+// clone copies src into dst, reusing dst's storage when it has src's
+// length; a nil src yields nil. The copy never aliases src, so neither a
+// later Replace nor a second Restore can reach the other's slots.
+func clone[T any](dst, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	if len(dst) != len(src) {
+		dst = make([]T, len(src))
+	}
+	copy(dst, src)
+	return dst
 }

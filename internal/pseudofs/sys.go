@@ -3,28 +3,27 @@ package pseudofs
 import (
 	"fmt"
 
+	"repro/internal/kernel"
 	"repro/internal/power"
 )
 
-// buildSys wires the /sys tree: cgroup controller files, NUMA node stats,
+// sys lays out the /sys tree: cgroup controller files, NUMA node stats,
 // cpuidle residency, the coretemp hwmon sensors, and the Intel RAPL powercap
 // interface of Case Study II.
 //
 // The RAPL energy_uj and cpuacct handlers are the hottest reads in the
 // repo — the attacker monitor samples them thousands of times per campaign
 // — so they render through strconv.Append* with zero allocations.
-func (fs *FS) buildSys(hw Hardware) {
-	k := fs.k
-
+func (l *layoutBuilder) sys(hw Hardware, cores int) {
 	// /sys/fs/cgroup/net_prio/net_prio.ifpriomap — Case Study I. The
 	// handler renders the reader's own cgroup priority map, but iterates
 	// init_net's device list (for_each_netdev_rcu(&init_net, …)), so a
 	// container sees every physical interface of the host.
 	// (LookupCgroup, not Cgroup: read handlers must never create table
 	// entries — parallel cross-validation reads these concurrently.)
-	fs.add("/sys/fs/cgroup/net_prio/net_prio.ifpriomap", func(b []byte, v View) ([]byte, error) {
-		cg, _ := k.LookupCgroup(v.CgroupPath)
-		for _, dev := range k.HostNetDevices() { // BUG preserved: host list
+	l.add("/sys/fs/cgroup/net_prio/net_prio.ifpriomap", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
+		cg, _ := fs.k.LookupCgroup(v.CgroupPath)
+		for _, dev := range fs.k.HostNetDevices() { // BUG preserved: host list
 			prio := 0
 			if cg != nil && cg.IfPrioMap != nil {
 				prio = cg.IfPrioMap[dev.Name]
@@ -38,9 +37,9 @@ func (fs *FS) buildSys(hw Hardware) {
 	})
 
 	// cpuacct usage for the reader's cgroup — properly delegated.
-	fs.add("/sys/fs/cgroup/cpuacct/cpuacct.usage", func(b []byte, v View) ([]byte, error) {
+	l.add("/sys/fs/cgroup/cpuacct/cpuacct.usage", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
 		var usage int64
-		if cg, ok := k.LookupCgroup(v.CgroupPath); ok {
+		if cg, ok := fs.k.LookupCgroup(v.CgroupPath); ok {
 			usage = int64(cg.CPUUsageNS)
 		}
 		b = apInt(b, usage)
@@ -49,8 +48,8 @@ func (fs *FS) buildSys(hw Hardware) {
 
 	// /sys/devices/system/node/node0/{numastat,vmstat,meminfo}: NUMA node
 	// counters are host-global.
-	fs.add("/sys/devices/system/node/node0/numastat", func(b []byte, _ View) ([]byte, error) {
-		n := k.NUMASnapshot()
+	l.add("/sys/devices/system/node/node0/numastat", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		n := fs.k.NUMASnapshot()
 		b = append(b, "numa_hit "...)
 		b = apInt(b, int64(n.Hit))
 		b = append(b, "\nnuma_miss "...)
@@ -65,9 +64,9 @@ func (fs *FS) buildSys(hw Hardware) {
 		b = apInt(b, int64(n.OtherNode))
 		return append(b, '\n'), nil
 	})
-	fs.add("/sys/devices/system/node/node0/vmstat", func(b []byte, _ View) ([]byte, error) {
-		mi := k.MeminfoSnapshot()
-		n := k.NUMASnapshot()
+	l.add("/sys/devices/system/node/node0/vmstat", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		mi := fs.k.MeminfoSnapshot()
+		n := fs.k.NUMASnapshot()
 		b = append(b, "nr_free_pages "...)
 		b = apUint(b, mi.FreeKB/4)
 		b = append(b, "\nnr_alloc_batch 63\nnr_inactive_anon "...)
@@ -80,8 +79,8 @@ func (fs *FS) buildSys(hw Hardware) {
 		b = apInt(b, int64(n.LocalNode))
 		return append(b, '\n'), nil
 	})
-	fs.add("/sys/devices/system/node/node0/meminfo", func(b []byte, _ View) ([]byte, error) {
-		mi := k.MeminfoSnapshot()
+	l.add("/sys/devices/system/node/node0/meminfo", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		mi := fs.k.MeminfoSnapshot()
 		b = append(b, "Node 0 MemTotal:       "...)
 		b = apUint(b, mi.TotalKB)
 		b = append(b, " kB\nNode 0 MemFree:        "...)
@@ -95,19 +94,22 @@ func (fs *FS) buildSys(hw Hardware) {
 		return append(b, " kB\n"...), nil
 	})
 
-	// /sys/devices/system/cpu/cpu#/cpuidle/state#/{name,usage,time}.
-	states := k.IdleStateSnapshot()
-	for cpu := 0; cpu < k.Options().Cores; cpu++ {
-		for si := range states {
-			cpu, si := cpu, si
+	// /sys/devices/system/cpu/cpu#/cpuidle/state#/{name,usage,time}. The
+	// argument packs the CPU and the state: cpu<<8 | state.
+	for cpu := 0; cpu < cores; cpu++ {
+		for si := 0; si < kernel.NumIdleStates; si++ {
 			base := fmt.Sprintf("/sys/devices/system/cpu/cpu%d/cpuidle/state%d", cpu, si)
-			fs.static(base+"/name", states[si].Name+"\n")
-			fs.add(base+"/usage", func(b []byte, _ View) ([]byte, error) {
-				b = apInt(b, int64(k.IdleUsage(si, cpu)))
+			arg := int32(cpu<<8 | si)
+			l.add(base+"/name", arg, func(fs *FS, arg int32, b []byte, _ View) ([]byte, error) {
+				b = append(b, fs.k.IdleStateName(int(arg&0xff))...)
 				return append(b, '\n'), nil
 			})
-			fs.add(base+"/time", func(b []byte, _ View) ([]byte, error) {
-				b = apInt(b, int64(k.IdleTimeUS(si, cpu)))
+			l.add(base+"/usage", arg, func(fs *FS, arg int32, b []byte, _ View) ([]byte, error) {
+				b = apInt(b, int64(fs.k.IdleUsage(int(arg&0xff), int(arg>>8))))
+				return append(b, '\n'), nil
+			})
+			l.add(base+"/time", arg, func(fs *FS, arg int32, b []byte, _ View) ([]byte, error) {
+				b = apInt(b, int64(fs.k.IdleTimeUS(int(arg&0xff), int(arg>>8))))
 				return append(b, '\n'), nil
 			})
 		}
@@ -117,45 +119,53 @@ func (fs *FS) buildSys(hw Hardware) {
 	// frequency interface. scaling_cur_freq and stats/total_trans are
 	// host-global dynamic reads (the frequency channel — a container
 	// observes the whole machine's load through its neighbours' P-state
-	// transitions); the range/driver/governor files are fleet-static.
-	gov := k.Freq()
-	for cpu := 0; cpu < k.Options().Cores; cpu++ {
-		cpu := cpu
+	// transitions); the range/driver/governor files are fleet-static. The
+	// argument is the CPU.
+	for cpu := 0; cpu < cores; cpu++ {
 		base := fmt.Sprintf("/sys/devices/system/cpu/cpu%d/cpufreq", cpu)
-		fs.add(base+"/scaling_cur_freq", func(b []byte, _ View) ([]byte, error) {
-			b = apUint(b, k.Freq().CurKHz(cpu))
+		arg := int32(cpu)
+		l.add(base+"/scaling_cur_freq", arg, func(fs *FS, cpu int32, b []byte, _ View) ([]byte, error) {
+			b = apUint(b, fs.k.Freq().CurKHz(int(cpu)))
 			return append(b, '\n'), nil
 		})
-		fs.add(base+"/stats/total_trans", func(b []byte, _ View) ([]byte, error) {
-			b = apUint(b, k.Freq().Transitions(cpu))
+		l.add(base+"/stats/total_trans", arg, func(fs *FS, cpu int32, b []byte, _ View) ([]byte, error) {
+			b = apUint(b, fs.k.Freq().Transitions(int(cpu)))
 			return append(b, '\n'), nil
 		})
-		fs.static(base+"/scaling_governor", gov.Name()+"\n")
-		fs.static(base+"/scaling_available_governors", "performance powersave "+gov.Name()+"\n")
-		fs.static(base+"/scaling_driver", "acpi-cpufreq\n")
-		fs.static(base+"/scaling_min_freq", fmt.Sprintf("%d\n", gov.MinKHz()))
-		fs.static(base+"/scaling_max_freq", fmt.Sprintf("%d\n", gov.MaxKHz()))
-		fs.static(base+"/cpuinfo_min_freq", fmt.Sprintf("%d\n", gov.MinKHz()))
-		fs.static(base+"/cpuinfo_max_freq", fmt.Sprintf("%d\n", gov.MaxKHz()))
+		l.add(base+"/scaling_governor", arg, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+			b = append(b, fs.k.Freq().Name()...)
+			return append(b, '\n'), nil
+		})
+		l.add(base+"/scaling_available_governors", arg, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+			b = append(b, "performance powersave "...)
+			b = append(b, fs.k.Freq().Name()...)
+			return append(b, '\n'), nil
+		})
+		l.add(base+"/scaling_driver", arg, func(_ *FS, _ int32, b []byte, _ View) ([]byte, error) {
+			return append(b, "acpi-cpufreq\n"...), nil
+		})
+		minKHz := func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+			b = apUint(b, fs.k.Freq().MinKHz())
+			return append(b, '\n'), nil
+		}
+		maxKHz := func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+			b = apUint(b, fs.k.Freq().MaxKHz())
+			return append(b, '\n'), nil
+		}
+		l.add(base+"/scaling_min_freq", arg, minKHz)
+		l.add(base+"/scaling_max_freq", arg, maxKHz)
+		l.add(base+"/cpuinfo_min_freq", arg, minKHz)
+		l.add(base+"/cpuinfo_max_freq", arg, maxKHz)
 	}
 
 	// /sys/devices/platform/coretemp.0/hwmon/hwmon1/temp#_input: DTS
 	// sensors in millidegrees. temp1 is the package, temp2..tempN+1 the
-	// cores.
+	// cores. The argument is the core, -1 for the package.
 	if hw.HasCoretemp {
-		fs.add("/sys/devices/platform/coretemp.0/hwmon/hwmon1/temp1_input", func(b []byte, v View) ([]byte, error) {
-			t, err := fs.thermal.CoreTempC(v, -1)
-			if err != nil {
-				return b, err
-			}
-			b = apInt(b, int64(t*1000))
-			return append(b, '\n'), nil
-		})
-		for c := 0; c < k.Options().Cores; c++ {
-			c := c
-			fs.add(fmt.Sprintf("/sys/devices/platform/coretemp.0/hwmon/hwmon1/temp%d_input", c+2),
-				func(b []byte, v View) ([]byte, error) {
-					t, err := fs.thermal.CoreTempC(v, c)
+		for c := -1; c < cores; c++ {
+			l.add(fmt.Sprintf("/sys/devices/platform/coretemp.0/hwmon/hwmon1/temp%d_input", c+2), int32(c),
+				func(fs *FS, core int32, b []byte, v View) ([]byte, error) {
+					t, err := fs.thermal.CoreTempC(v, int(core))
 					if err != nil {
 						return b, err
 					}
@@ -167,33 +177,44 @@ func (fs *FS) buildSys(hw Hardware) {
 
 	// /sys/class/powercap/intel-rapl — Case Study II. energy_uj goes
 	// through the FS's EnergyProvider so the power-based namespace can
-	// virtualize it later without changing paths.
+	// virtualize it later without changing paths. The argument indexes
+	// raplDomains.
 	if hw.HasRAPL {
-		domains := []struct {
-			dir  string
-			name string
-			dom  power.Domain
-		}{
-			{"/sys/class/powercap/intel-rapl:0", "package-0", power.Package},
-			{"/sys/class/powercap/intel-rapl:0/intel-rapl:0:0", "core", power.Core},
-			{"/sys/class/powercap/intel-rapl:0/intel-rapl:0:1", "dram", power.DRAM},
-		}
-		for _, d := range domains {
-			d := d
-			fs.static(d.dir+"/name", d.name+"\n")
-			fs.add(d.dir+"/energy_uj", func(b []byte, v View) ([]byte, error) {
-				uj, err := fs.energy.EnergyUJ(v, d.dom)
+		for i, d := range raplDomains {
+			l.add(d.dir+"/name", int32(i), func(_ *FS, i int32, b []byte, _ View) ([]byte, error) {
+				b = append(b, raplDomains[i].name...)
+				return append(b, '\n'), nil
+			})
+			l.add(d.dir+"/energy_uj", int32(i), func(fs *FS, i int32, b []byte, v View) ([]byte, error) {
+				uj, err := fs.energy.EnergyUJ(v, raplDomains[i].dom)
 				if err != nil {
 					return b, err
 				}
 				b = apUint(b, uj)
 				return append(b, '\n'), nil
 			})
-			fs.static(d.dir+"/max_energy_range_uj",
-				fmt.Sprintf("%d\n", k.Meter().MaxEnergyRangeUJ()))
+			l.add(d.dir+"/max_energy_range_uj", int32(i), func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+				b = apUint(b, fs.k.Meter().MaxEnergyRangeUJ())
+				return append(b, '\n'), nil
+			})
 		}
 	}
 
 	// /sys/devices/system/cpu/online: topology, fleet-static.
-	fs.static("/sys/devices/system/cpu/online", fmt.Sprintf("0-%d\n", k.Options().Cores-1))
+	l.add("/sys/devices/system/cpu/online", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		b = append(b, "0-"...)
+		b = apInt(b, int64(fs.k.Options().Cores-1))
+		return append(b, '\n'), nil
+	})
+}
+
+// raplDomains are the RAPL powercap domains, outermost first.
+var raplDomains = [...]struct {
+	dir  string
+	name string
+	dom  power.Domain
+}{
+	{"/sys/class/powercap/intel-rapl:0", "package-0", power.Package},
+	{"/sys/class/powercap/intel-rapl:0/intel-rapl:0:0", "core", power.Core},
+	{"/sys/class/powercap/intel-rapl:0/intel-rapl:0:1", "dram", power.DRAM},
 }
