@@ -302,7 +302,7 @@ func (e *Engine) fill(cont *pseudofs.Mount, s *slab, p *pass, i int, buf []byte,
 		ev = core.ReadEvidence(buf, err)
 	}
 	h := p.hosts[i]
-	f := core.Classify(path, ev, func() *core.HostContent { return e.hostContent(h, i, t) })
+	f := core.Classify(path, ev, func() *core.HostContent { return e.hostContent(h, path, t) })
 	if !ent.filled {
 		s.cached.Add(1)
 	}
@@ -310,20 +310,13 @@ func (e *Engine) fill(cont *pseudofs.Mount, s *slab, p *pass, i int, buf []byte,
 	return f, buf
 }
 
-// hostContent returns the host content of path i at the entry's epoch,
+// hostContent returns the host content of path at the entry's epoch,
 // rendering it only if no validation of this epoch has yet.
-func (e *Engine) hostContent(h *hostEntry, i int, t *tally) *core.HostContent {
+func (e *Engine) hostContent(h *hostEntry, path string, t *tally) *core.HostContent {
 	rendered := false
 	if !h.rendered.Load() {
 		h.once.Do(func() {
-			bp := bufPool.Get().(*[]byte)
-			b, err := e.host.AppendReadAt((*bp)[:0], i)
-			if err == nil {
-				h.content.Data = string(b)
-			}
-			h.content.Err = err
-			*bp = b[:0]
-			bufPool.Put(bp)
+			h.content.Data, h.content.Err = e.host.Read(path)
 			h.rendered.Store(true)
 			rendered = true
 		})

@@ -258,11 +258,69 @@ func (r *Rand) FillFloat64(dst []float64) {
 // This is the simulation kernel's per-CPU jitter fan-out (the expression is
 // kernel.jitter's body verbatim, with the row's common factor hoisted as
 // scale); fusing the draw with the accumulate keeps the generator state in
-// registers and skips a scratch buffer. It is the one-row case of
-// AddScaledJitterRows.
+// registers AND skips the scratch-buffer round trip a Fill-then-consume
+// pair would cost — at ~600 fused draws per 24-core server tick the memory
+// traffic is the difference that shows up in Fig. 3 sweeps.
 func (r *Rand) AddScaledJitter(dst []float64, scale, amp float64) {
-	scales := [1]float64{scale}
-	r.AddScaledJitterRows(dst, len(dst), scales[:], amp)
+	tap, feed := int(r.tap), int(r.feed)
+	if uint(tap) >= rngLen || uint(feed) >= rngLen {
+		panic("fastrand: corrupt generator state")
+	}
+	// Chunked draw loop: between wraps both indices only decrement, so a
+	// run of min(tap, feed) draws needs no wrap branches at all. The outer
+	// loop handles the (rare) wrap step and any slots a retry left
+	// unfilled; the inner loop is pure decrement/load/FMA traffic.
+	i := 0
+	for i < len(dst) {
+		n := tap
+		if feed < n {
+			n = feed
+		}
+		if rem := len(dst) - i; n > rem {
+			n = rem
+		}
+		if n <= 0 {
+			// One draw with full wrap handling (an index at 0 wraps to
+			// rngLen-1 because the decrement happens before use).
+			tap--
+			if tap < 0 {
+				tap = rngLen - 1
+			}
+			feed--
+			if feed < 0 {
+				feed = rngLen - 1
+			}
+			x := r.vec[feed] + r.vec[tap]
+			r.vec[feed] = x
+			// Identical to Float64: Int63 scaling with retry-on-1.0; a
+			// rejected draw simply doesn't advance i.
+			f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
+			if f != 1 {
+				dst[i] += scale * (1 + (f*2-1)*amp)
+				i++
+			}
+			continue
+		}
+		// Reslicing the two lag windows to exactly n elements lets the
+		// compiler drop the per-draw vec bounds checks: m runs [0,n) over
+		// slices of length n. The windows alias the same backing array at
+		// the generator's tap distance, so writes at higher m are read back
+		// at lower m exactly as the in-place form did.
+		vt := r.vec[tap-n : tap][:n]
+		vf := r.vec[feed-n : feed][:n]
+		for m := n - 1; m >= 0; m-- {
+			x := vf[m] + vt[m]
+			vf[m] = x
+			f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
+			if f != 1 {
+				dst[i] += scale * (1 + (f*2-1)*amp)
+				i++
+			}
+		}
+		tap -= n
+		feed -= n
+	}
+	r.tap, r.feed = int32(tap), int32(feed)
 }
 
 // AddScaledJitter2 is the paired-stream variant of AddScaledJitter: for

@@ -265,9 +265,9 @@ type SoftIRQ struct {
 	ratePerSec func(k *Kernel) float64
 }
 
-// NumIdleStates is the number of cpuidle states of every simulated CPU
-// (POLL, C1, C3, C6); /sys lays out one cpuidle/state# directory each.
-const NumIdleStates = 4
+// IdleStateNames names the cpuidle states of every simulated CPU,
+// shallowest first; /sys lays out one cpuidle/state# directory each.
+var IdleStateNames = [...]string{"POLL", "C1", "C3", "C6"}
 
 // IdleState is one cpuidle C-state with per-CPU usage/time accounting.
 type IdleState struct {
@@ -356,8 +356,8 @@ func New(opts Options) *Kernel {
 		{Name: "HRTIMER", ratePerSec: func(*Kernel) float64 { return 2 }},
 		{Name: "RCU", ratePerSec: func(k *Kernel) float64 { return 150 + 300*k.lastBusy/float64(k.opts.Cores) }},
 	}
-	k.idleStates = make([]IdleState, NumIdleStates)
-	for i, name := range [NumIdleStates]string{"POLL", "C1", "C3", "C6"} {
+	k.idleStates = make([]IdleState, len(IdleStateNames))
+	for i, name := range IdleStateNames {
 		k.idleStates[i].Name = name
 	}
 	if opts.ReferenceLayout {

@@ -231,10 +231,6 @@ func (k *Kernel) IdleStateSnapshot() []IdleState {
 	return out
 }
 
-// IdleStateName returns the name of a cpuidle state — the content of
-// every CPU's cpuidle/state#/name file.
-func (k *Kernel) IdleStateName(state int) string { return k.idleStates[state].Name }
-
 // IdleUsage returns cpuidle state's entry count on cpu — the
 // allocation-free read behind one cpuidle/state#/usage file.
 func (k *Kernel) IdleUsage(state, cpu int) float64 { return k.idleStates[state].UsagePerCPU[cpu] }

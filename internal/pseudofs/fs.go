@@ -483,9 +483,6 @@ func (m *Mount) appendPolicied(dst []byte, i int, path string) ([]byte, error) {
 		rule := &m.policy.Rules[r]
 		switch rule.Do {
 		case Deny:
-			if i >= 0 {
-				return dst, m.fs.lay.denied[i]
-			}
 			return dst, &pathError{err: ErrDenied, path: path}
 		case Empty:
 			return dst, nil

@@ -8,9 +8,9 @@ import (
 
 // render renders the file at one layout position for fs, appending to dst
 // (see Handler for the buffer contract). arg is the index the path was
-// laid out with: a CPU, a packed CPU and idle state, a RAPL domain or a
-// namespace type. Renders capture nothing, so one layout serves every FS
-// of its key.
+// laid out with: a CPU, a packed CPU and idle state, a RAPL domain, a
+// namespace type or a constant text. Renders capture nothing, so one
+// layout serves every FS of its key.
 type render func(fs *FS, arg int32, dst []byte, v View) ([]byte, error)
 
 // layoutKey is what the shape of a pseudo-file tree depends on: the
@@ -21,24 +21,25 @@ type layoutKey struct {
 	cores int
 }
 
-// layout is the immutable shape of every tree of one key: the sorted
-// paths and, by position, each path's dependency tag, render function and
-// render argument. A path's position is its identity on every read path;
-// per-FS state (Replace overrides and their generations) is indexed by it.
+// layout is the shape of every tree of one key, never mutated once
+// newLayout returns: the sorted paths and, by position, each path's
+// dependency tag, render function and render argument, plus the constant
+// texts of the static files.
 type layout struct {
 	paths  []string
 	index  map[string]int32
 	deps   []Dep
 	render []render
 	arg    []int32
-	// denied holds each position's ErrDenied read error, built once so a
-	// masked read allocates nothing.
-	denied []error
+	text   []string
 }
 
 // layouts memoizes one layout per key, under layoutsMu. A layout is a pure
 // function of its key and is never mutated, so the memo is written once
-// per key and shared by every FS in the process.
+// per key and shared by every FS in the process. Keys come from code, but
+// for the core count of a policy rollout's server, which follows its fleet
+// size; leaksd bounds that (service.MaxRolloutFleet), so the memo stays
+// small.
 var (
 	layoutsMu sync.Mutex
 	layouts   = map[layoutKey]*layout{}
@@ -54,52 +55,56 @@ func layoutFor(key layoutKey) *layout {
 	return layouts[key]
 }
 
-// layoutBuilder collects a tree's files, with their render arguments,
-// before they are sorted into a layout.
-type layoutBuilder struct {
-	files map[string]layoutFile
+// add registers a file at the end of the layout; finish sorts it into
+// place.
+func (l *layout) add(path string, arg int32, r render) {
+	l.paths = append(l.paths, path)
+	l.render = append(l.render, r)
+	l.arg = append(l.arg, arg)
 }
 
-type layoutFile struct {
-	render render
-	arg    int32
+// static registers a file whose content is constant text.
+func (l *layout) static(path, content string) {
+	l.add(path, int32(len(l.text)), renderText)
+	l.text = append(l.text, content)
 }
 
-// add registers a file; it panics on duplicates, which are always
-// builder bugs.
-func (l *layoutBuilder) add(path string, arg int32, r render) {
-	if _, dup := l.files[path]; dup {
-		panic(fmt.Sprintf("pseudofs: duplicate file %s", path))
-	}
-	l.files[path] = layoutFile{render: r, arg: arg}
+func renderText(fs *FS, i int32, b []byte, _ View) ([]byte, error) {
+	return append(b, fs.lay.text[i]...), nil
 }
 
 // newLayout computes the layout of a key.
 func newLayout(key layoutKey) *layout {
-	b := layoutBuilder{files: make(map[string]layoutFile, 256)}
-	b.proc(key.cores)
-	b.sys(key.hw, key.cores)
-	n := len(b.files)
-	l := &layout{
-		paths:  make([]string, 0, n),
-		index:  make(map[string]int32, n),
-		deps:   make([]Dep, n),
-		render: make([]render, n),
-		arg:    make([]int32, n),
-		denied: make([]error, n),
-	}
-	for p := range b.files {
-		l.paths = append(l.paths, p)
-	}
-	sort.Strings(l.paths)
+	l := &layout{}
+	l.proc(key.cores)
+	l.sys(key.hw, key.cores)
+	l.finish()
+	return l
+}
+
+// finish sorts the registered files by path, then indexes them and tags
+// their dependencies. It panics on a path registered twice, which is
+// always a layout bug.
+func (l *layout) finish() {
+	sort.Sort(l)
+	l.index = make(map[string]int32, len(l.paths))
+	l.deps = make([]Dep, len(l.paths))
 	for i, p := range l.paths {
-		f := b.files[p]
+		if _, dup := l.index[p]; dup {
+			panic(fmt.Sprintf("pseudofs: duplicate file %s", p))
+		}
 		l.index[p] = int32(i)
 		l.deps[i] = lookupDep(p)
-		l.render[i], l.arg[i] = f.render, f.arg
-		l.denied[i] = &pathError{err: ErrDenied, path: p}
 	}
-	return l
+}
+
+// Len, Less and Swap sort a layout's files by path, columns together.
+func (l *layout) Len() int           { return len(l.paths) }
+func (l *layout) Less(i, j int) bool { return l.paths[i] < l.paths[j] }
+func (l *layout) Swap(i, j int) {
+	l.paths[i], l.paths[j] = l.paths[j], l.paths[i]
+	l.render[i], l.render[j] = l.render[j], l.render[i]
+	l.arg[i], l.arg[j] = l.arg[j], l.arg[i]
 }
 
 // pathError is the error of a denied or absent read. Its message is the

@@ -121,7 +121,7 @@ func TestMemoizedLayoutMatchesFresh(t *testing.T) {
 			got, want := layoutFor(key), newLayout(key)
 			if !reflect.DeepEqual(got.paths, want.paths) || !reflect.DeepEqual(got.index, want.index) ||
 				!reflect.DeepEqual(got.deps, want.deps) || !reflect.DeepEqual(got.arg, want.arg) ||
-				!reflect.DeepEqual(got.denied, want.denied) {
+				!reflect.DeepEqual(got.text, want.text) {
 				t.Errorf("%+v: memoized layout data differs from a fresh one", key)
 			}
 			if len(got.render) != len(want.render) {
@@ -132,7 +132,7 @@ func TestMemoizedLayoutMatchesFresh(t *testing.T) {
 					t.Errorf("%+v: %s renders through a different function", key, got.paths[i])
 				}
 			}
-			if n := len(got.paths); n != len(got.index) || n != len(got.deps) || n != len(got.arg) || n != len(got.denied) {
+			if n := len(got.paths); n != len(got.index) || n != len(got.deps) || n != len(got.arg) {
 				t.Errorf("%+v: layout columns have different lengths", key)
 			}
 		}

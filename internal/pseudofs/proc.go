@@ -14,7 +14,7 @@ import (
 // Renders append into the caller's buffer (see render and render.go);
 // every formatting helper reproduces the historical fmt verb bit for bit,
 // which the render-property test asserts per registered path.
-func (l *layoutBuilder) proc(cores int) {
+func (l *layout) proc(cores int) {
 
 	// --- GLOBAL channels (Table I) -------------------------------------
 
@@ -467,9 +467,8 @@ func (l *layoutBuilder) proc(cores int) {
 
 	// /proc/filesystems: identical everywhere by design (not a leak worth
 	// ranking, but the detector must still classify it).
-	l.add("/proc/filesystems", 0, func(_ *FS, _ int32, b []byte, _ View) ([]byte, error) {
-		return append(b, "nodev\tsysfs\nnodev\tproc\nnodev\ttmpfs\nnodev\tdevtmpfs\n\text4\n\text3\n"...), nil
-	})
+	l.static("/proc/filesystems",
+		"nodev\tsysfs\nnodev\tproc\nnodev\ttmpfs\nnodev\tdevtmpfs\n\text4\n\text3\n")
 
 	// --- GLOBAL channels beyond Table I --------------------------------
 	// The paper's study was systematic but a snapshot; these additional
@@ -533,12 +532,10 @@ func (l *layoutBuilder) proc(cores int) {
 	})
 
 	// /proc/partitions and /proc/swaps: fleet-static host disk layout.
-	l.add("/proc/partitions", 0, func(_ *FS, _ int32, b []byte, _ View) ([]byte, error) {
-		return append(b, "major minor  #blocks  name\n\n   8        0  250059096 sda\n   8        1  248006656 sda1\n   8        2    2052440 sda2\n"...), nil
-	})
-	l.add("/proc/swaps", 0, func(_ *FS, _ int32, b []byte, _ View) ([]byte, error) {
-		return append(b, "Filename\t\t\t\tType\t\tSize\tUsed\tPriority\n/dev/sda2\t\t\t\tpartition\t2052436\t0\t-1\n"...), nil
-	})
+	l.static("/proc/partitions",
+		"major minor  #blocks  name\n\n   8        0  250059096 sda\n   8        1  248006656 sda1\n   8        2    2052440 sda2\n")
+	l.static("/proc/swaps",
+		"Filename\t\t\t\tType\t\tSize\tUsed\tPriority\n/dev/sda2\t\t\t\tpartition\t2052436\t0\t-1\n")
 }
 
 // nsNames are the /proc/self/ns entry names, indexed by kernel.NSType

@@ -257,14 +257,15 @@ func TestReadUnknownPath(t *testing.T) {
 }
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
-	l := layoutBuilder{files: make(map[string]layoutFile)}
+	l := &layout{}
 	l.proc(8)
+	l.add("/proc/uptime", 0, nil)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("duplicate add should panic")
+			t.Fatal("a path added twice should panic")
 		}
 	}()
-	l.add("/proc/uptime", 0, nil)
+	l.finish()
 }
 
 func TestViewIsHost(t *testing.T) {

@@ -1,5 +1,7 @@
 package pseudofs
 
+import "slices"
+
 // FSState is a point-in-time capture of an FS's mutable surface for the
 // world snapshot machinery. The file *set* is the shared, immutable
 // layout, but handlers can be swapped (Replace), providers and injectors
@@ -20,12 +22,12 @@ type FSState struct {
 // Snapshot captures the FS's mutable state.
 func (fs *FS) Snapshot() *FSState {
 	return &FSState{
-		override:        clone(nil, fs.override),
+		override:        slices.Clone(fs.override),
 		energy:          fs.energy,
 		thermal:         fs.thermal,
 		injector:        fs.injector,
 		fsGen:           fs.fsGen,
-		replaceGen:      clone(nil, fs.replaceGen),
+		replaceGen:      slices.Clone(fs.replaceGen),
 		totalReplaceGen: fs.totalReplaceGen,
 		renders:         fs.renders.Load(),
 	}
@@ -33,26 +35,12 @@ func (fs *FS) Snapshot() *FSState {
 
 // Restore rewinds the FS to the captured state.
 func (fs *FS) Restore(s *FSState) {
-	fs.override = clone(fs.override, s.override)
+	fs.override = slices.Clone(s.override)
 	fs.energy = s.energy
 	fs.thermal = s.thermal
 	fs.injector = s.injector
 	fs.fsGen = s.fsGen
-	fs.replaceGen = clone(fs.replaceGen, s.replaceGen)
+	fs.replaceGen = slices.Clone(s.replaceGen)
 	fs.totalReplaceGen = s.totalReplaceGen
 	fs.renders.Store(s.renders)
-}
-
-// clone copies src into dst, reusing dst's storage when it has src's
-// length; a nil src yields nil. The copy never aliases src, so neither a
-// later Replace nor a second Restore can reach the other's slots.
-func clone[T any](dst, src []T) []T {
-	if src == nil {
-		return nil
-	}
-	if len(dst) != len(src) {
-		dst = make([]T, len(src))
-	}
-	copy(dst, src)
-	return dst
 }

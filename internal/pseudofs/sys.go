@@ -14,7 +14,7 @@ import (
 // The RAPL energy_uj and cpuacct handlers are the hottest reads in the
 // repo — the attacker monitor samples them thousands of times per campaign
 // — so they render through strconv.Append* with zero allocations.
-func (l *layoutBuilder) sys(hw Hardware, cores int) {
+func (l *layout) sys(hw Hardware, cores int) {
 	// /sys/fs/cgroup/net_prio/net_prio.ifpriomap — Case Study I. The
 	// handler renders the reader's own cgroup priority map, but iterates
 	// init_net's device list (for_each_netdev_rcu(&init_net, …)), so a
@@ -97,13 +97,10 @@ func (l *layoutBuilder) sys(hw Hardware, cores int) {
 	// /sys/devices/system/cpu/cpu#/cpuidle/state#/{name,usage,time}. The
 	// argument packs the CPU and the state: cpu<<8 | state.
 	for cpu := 0; cpu < cores; cpu++ {
-		for si := 0; si < kernel.NumIdleStates; si++ {
+		for si, name := range kernel.IdleStateNames {
 			base := fmt.Sprintf("/sys/devices/system/cpu/cpu%d/cpuidle/state%d", cpu, si)
 			arg := int32(cpu<<8 | si)
-			l.add(base+"/name", arg, func(fs *FS, arg int32, b []byte, _ View) ([]byte, error) {
-				b = append(b, fs.k.IdleStateName(int(arg&0xff))...)
-				return append(b, '\n'), nil
-			})
+			l.static(base+"/name", name+"\n")
 			l.add(base+"/usage", arg, func(fs *FS, arg int32, b []byte, _ View) ([]byte, error) {
 				b = apInt(b, int64(fs.k.IdleUsage(int(arg&0xff), int(arg>>8))))
 				return append(b, '\n'), nil
@@ -141,9 +138,7 @@ func (l *layoutBuilder) sys(hw Hardware, cores int) {
 			b = append(b, fs.k.Freq().Name()...)
 			return append(b, '\n'), nil
 		})
-		l.add(base+"/scaling_driver", arg, func(_ *FS, _ int32, b []byte, _ View) ([]byte, error) {
-			return append(b, "acpi-cpufreq\n"...), nil
-		})
+		l.static(base+"/scaling_driver", "acpi-cpufreq\n")
 		minKHz := func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
 			b = apUint(b, fs.k.Freq().MinKHz())
 			return append(b, '\n'), nil
@@ -181,10 +176,7 @@ func (l *layoutBuilder) sys(hw Hardware, cores int) {
 	// raplDomains.
 	if hw.HasRAPL {
 		for i, d := range raplDomains {
-			l.add(d.dir+"/name", int32(i), func(_ *FS, i int32, b []byte, _ View) ([]byte, error) {
-				b = append(b, raplDomains[i].name...)
-				return append(b, '\n'), nil
-			})
+			l.static(d.dir+"/name", d.name+"\n")
 			l.add(d.dir+"/energy_uj", int32(i), func(fs *FS, i int32, b []byte, v View) ([]byte, error) {
 				uj, err := fs.energy.EnergyUJ(v, raplDomains[i].dom)
 				if err != nil {
@@ -200,12 +192,9 @@ func (l *layoutBuilder) sys(hw Hardware, cores int) {
 		}
 	}
 
-	// /sys/devices/system/cpu/online: topology, fleet-static.
-	l.add("/sys/devices/system/cpu/online", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
-		b = append(b, "0-"...)
-		b = apInt(b, int64(fs.k.Options().Cores-1))
-		return append(b, '\n'), nil
-	})
+	// /sys/devices/system/cpu/online: topology, fleet-static; the core
+	// count is part of the layout key.
+	l.static("/sys/devices/system/cpu/online", fmt.Sprintf("0-%d\n", cores-1))
 }
 
 // raplDomains are the RAPL powercap domains, outermost first.

@@ -33,7 +33,8 @@ type PolicyRequest struct {
 
 // RolloutRequest is the POST /v1/policies/{id}/rollout body. Zero values
 // select the canary controller's defaults (20% canary, 3 healthy epochs,
-// 5 ticks per epoch) and a 5-container fleet.
+// 5 ticks per epoch) and a 5-container fleet; Fleet may not exceed
+// MaxRolloutFleet.
 type RolloutRequest struct {
 	Fleet         int     `json:"fleet,omitempty"`
 	CanaryPercent int     `json:"canary_percent,omitempty"`
@@ -43,6 +44,11 @@ type RolloutRequest struct {
 	ChaosRate     float64 `json:"chaos_rate,omitempty"`
 	ChaosSeed     int64   `json:"chaos_seed,omitempty"`
 }
+
+// MaxRolloutFleet bounds RolloutRequest.Fleet. A rollout fleet runs on one
+// server sized to it, and every server shape keeps a pseudo-file layout
+// for the life of the process, so the bound also bounds those layouts.
+const MaxRolloutFleet = 32
 
 // RolloutStatus is the recorded outcome of a policy's latest rollout —
 // what GET /v1/policies/{id}/rollout serves.
@@ -248,6 +254,11 @@ func (a *api) postPolicyRolloutV1(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeErrorV1(w, http.StatusBadRequest, codeBadRequest, "invalid JSON body: %v", err)
+		return
+	}
+	if req.Fleet > MaxRolloutFleet {
+		writeErrorV1(w, http.StatusBadRequest, codeBadRequest,
+			"fleet %d exceeds the maximum of %d", req.Fleet, MaxRolloutFleet)
 		return
 	}
 	profile, ok := ProviderByName(rec.Policy.Provider)

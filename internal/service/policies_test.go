@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -328,5 +329,32 @@ func TestScanVerdictEventsCarryProviderAndEpoch(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("timed out waiting for scan events (%d verdicts so far)", verdicts)
 		}
+	}
+}
+
+// TestPolicyRolloutRejectsOversizedFleet checks that a rollout asking for
+// more than MaxRolloutFleet containers is refused and records no status.
+func TestPolicyRolloutRejectsOversizedFleet(t *testing.T) {
+	_, srv := newTestAPI(t, Config{Workers: 1}, func(_ context.Context, req ScanRequest) (*ScanResult, error) {
+		return fakeResult(req), nil
+	})
+	_, raw := postPolicyJSON(t, srv, "/v1/policies",
+		`{"provider":"cc1","rules":[{"pattern":"/proc/timer_list","action":"deny"}]}`)
+	var rec PolicyRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatalf("decode record from %s: %v", raw, err)
+	}
+	path := "/v1/policies/" + rec.ID + "/rollout"
+	resp, body := postPolicyJSON(t, srv, path, fmt.Sprintf(`{"fleet":%d}`, MaxRolloutFleet+1))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized fleet: status = %d, body %s; want 400", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "exceeds the maximum") {
+		t.Fatalf("oversized fleet: body %s does not name the bound", body)
+	}
+	if gresp, err := http.Get(srv.URL + path); err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	} else if gresp.Body.Close(); gresp.StatusCode != http.StatusNotFound {
+		t.Fatalf("a refused rollout left a status: GET %s = %d; want 404", path, gresp.StatusCode)
 	}
 }
