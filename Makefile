@@ -89,9 +89,11 @@ bench-full:
 # win), the /v1 serving benchmarks (cache-hit, 304, cold render, loadgen
 # p99/req/s), the cluster scaling curve (coordinator fan-out at 1/2/4
 # workers), and the policy-synthesis pipeline (mine + synthesize +
-# verify on CC1), converted to JSON by internal/tools/benchjson and
-# archived by CI as BENCH_PR10.json (earlier PRs' reports stay committed
-# as history). The Fig3 sweep, recurring, and matrix pairs run 10
+# verify on CC1), converted to JSON by internal/tools/benchjson into
+# BENCH_CI.json, which CI archives. It never overwrites the committed
+# baseline BENCH_PR10.json that bench-guard reads (earlier PRs' reports
+# stay committed as history); to refresh the baseline, copy a reviewed
+# BENCH_CI.json over it. The Fig3 sweep, recurring, and matrix pairs run 10
 # iterations so their steady state dominates ns/op (the sweeps restore
 # pooled world snapshots after the first iteration instead of
 # rebuilding); the serving hit/load benchmarks run 200k iterations so
@@ -116,8 +118,8 @@ bench-json:
 	$(GO) test -run '^$$' -bench '^BenchmarkClusterFleet$$' \
 		-benchtime=5x -benchmem . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkPolicySynthesis$$' \
-		-benchtime=10x -benchmem . ; } | $(GO) run ./internal/tools/benchjson -o BENCH_PR10.json
-	@echo wrote BENCH_PR10.json
+		-benchtime=10x -benchmem . ; } | $(GO) run ./internal/tools/benchjson -o BENCH_CI.json
+	@echo wrote BENCH_CI.json
 
 # Benchmark-regression gates against the committed BENCH_PR10.json
 # baseline: Fig3Sweep wall time AND allocations (the compute path — the
@@ -129,8 +131,8 @@ bench-json:
 # 10x, not 1.5x), the policy-synthesis allocation budget (the POST
 # /v1/policies cost), and the warm matrix-sweep allocation budget (the
 # session-reuse path leaksd's kind=matrix scans ride). One-sided —
-# improvements always pass; refresh the baseline with `make bench-json`
-# when an optimization lands.
+# improvements always pass; refresh the baseline from `make bench-json`'s
+# BENCH_CI.json when an optimization lands.
 bench-guard:
 	{ $(GO) test -run '^$$' -bench '^BenchmarkFig3Sweep$$' -benchtime=10x -benchmem . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkV1ResultsHit(304)?$$|^BenchmarkServingLoad$$' \

@@ -42,7 +42,7 @@ func FuzzShardRequest(f *testing.F) {
 			other := req.Spec
 			other.Tick = tick
 			if got := other.worldKey(); got != key {
-				t.Fatalf("tick %g changed the world key: %q vs %q", tick, got, key)
+				t.Fatalf("tick %g changed the world key: %+v vs %+v", tick, got, key)
 			}
 		}
 		if valid {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/pseudofs"
+	"repro/internal/worlds"
 )
 
 // DefaultTick is the canonical observation instant: 30 simulated seconds,
@@ -68,11 +69,12 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// worldKey identifies a world replica: everything in the spec except the
+// worldKey identifies a world replica: the normalized spec without its
 // tick (replicas advance in place).
-func (s Spec) worldKey() string {
+func (s Spec) worldKey() Spec {
 	n := s.Normalize()
-	return fmt.Sprintf("%s|%d|%d", n.Provider, n.Seed, n.Containers)
+	n.Tick = 0
+	return n
 }
 
 // ContainerName returns the deterministic name of fleet container i — the
@@ -200,17 +202,7 @@ type Worlds interface {
 // LocalWorlds caches replicas per spec identity, keeping at most cap of
 // them (least-recently-used beyond; default 4 — fleet worlds are heavy).
 type LocalWorlds struct {
-	mu     sync.Mutex
-	cap    int
-	clock  uint64
-	worlds map[string]*localWorld
-}
-
-type localWorld struct {
-	once sync.Once
-	w    *FleetWorld
-	err  error
-	last uint64
+	c *worlds.Cache[Spec, *FleetWorld]
 }
 
 // NewLocalWorlds returns a replica cache (cap <= 0 selects 4).
@@ -218,58 +210,17 @@ func NewLocalWorlds(cap int) *LocalWorlds {
 	if cap <= 0 {
 		cap = 4
 	}
-	return &LocalWorlds{cap: cap, worlds: make(map[string]*localWorld)}
+	return &LocalWorlds{c: worlds.New[Spec, *FleetWorld](cap)}
 }
 
 // Fleet resolves (building at most once per spec identity, concurrently
 // safe) and advances happen inside Pass.
 func (l *LocalWorlds) Fleet(spec Spec) (*FleetWorld, error) {
-	spec = spec.Normalize()
-	key := spec.worldKey()
-	l.mu.Lock()
-	lw, ok := l.worlds[key]
-	if !ok {
-		lw = &localWorld{}
-		l.worlds[key] = lw
-		l.evictLocked(key)
-	}
-	l.clock++
-	lw.last = l.clock
-	l.mu.Unlock()
-
-	lw.once.Do(func() { lw.w, lw.err = BuildFleetWorld(spec) })
-	if lw.err != nil {
-		l.mu.Lock()
-		delete(l.worlds, key) // do not cache a broken world
-		l.mu.Unlock()
-		return nil, lw.err
-	}
-	return lw.w, nil
+	return l.c.Get(spec.worldKey(), func() (*FleetWorld, error) { return BuildFleetWorld(spec) })
 }
 
 // Len reports the number of cached replicas.
-func (l *LocalWorlds) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.worlds)
-}
-
-// evictLocked drops least-recently-used replicas beyond cap, never the one
-// just inserted. Callers hold l.mu.
-func (l *LocalWorlds) evictLocked(keep string) {
-	for len(l.worlds) > l.cap {
-		oldest, key := ^uint64(0), ""
-		for k, lw := range l.worlds {
-			if k != keep && lw.last < oldest {
-				oldest, key = lw.last, k
-			}
-		}
-		if key == "" {
-			return
-		}
-		delete(l.worlds, key)
-	}
-}
+func (l *LocalWorlds) Len() int { return l.c.Len() }
 
 // SharedWorlds serves one pre-built world to every caller whose spec
 // matches it, and rejects everything else — the in-process topology where
@@ -284,7 +235,7 @@ func NewSharedWorlds(w *FleetWorld) *SharedWorlds { return &SharedWorlds{w: w} }
 // Fleet implements Worlds.
 func (s *SharedWorlds) Fleet(spec Spec) (*FleetWorld, error) {
 	if spec.Normalize().worldKey() != s.w.spec.worldKey() {
-		return nil, fmt.Errorf("cluster: shared world is %q, request is %q",
+		return nil, fmt.Errorf("cluster: shared world is %+v, request is %+v",
 			s.w.spec.worldKey(), spec.Normalize().worldKey())
 	}
 	return s.w, nil

@@ -118,7 +118,7 @@ func fig3WithSeed(seed int64, spec chaos.Spec) (*Fig3Result, error) {
 	// between campaigns — the restore contract makes each campaign
 	// byte-identical to running on a fresh build, and the container
 	// handles stay valid across restores.
-	w, key, err := checkoutWorld(inspectPoolKey("fig3", "", spec, seed),
+	w, err := checkoutWorld(poolKey{kind: "fig3", chaos: spec, seed: seed},
 		func() (*cloud.Datacenter, any, error) {
 			// 24-core servers keep bursts below host saturation, so the
 			// superimposition advantage is visible in the rack peak.
@@ -138,13 +138,13 @@ func fig3WithSeed(seed int64, spec chaos.Spec) (*Fig3Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig 3 build: %w", err)
 	}
-	defer releaseWorld(key)
+	defer w.release()
 	dc := w.dc
 	rack, cs := w.aux.(fig3World).rack, w.aux.(fig3World).cs
 	snap := w.snap
 	if snap == nil {
-		// An unpooled world (pool full, or the key checked out elsewhere)
-		// is captured here so the trio still shares one build.
+		// A throwaway world (the key is checked out elsewhere) is
+		// captured here so the trio still shares one build.
 		snap = dc.Snapshot()
 	}
 	reset := func() {

@@ -29,7 +29,7 @@ type MatrixResult struct {
 // cache misses, byte-identical to what a persistent MatrixSession serves
 // warm.
 func MatrixSweep(ctx context.Context, spec chaos.Spec, seed int64, workers int) (*MatrixResult, error) {
-	ins, err := inspectProfiles(ctx, cloud.MatrixTargets(), workers, func(p cloud.ProviderProfile) (CloudInspection, error) {
+	return MatrixSweepWith(ctx, workers, func(p cloud.ProviderProfile) (CloudInspection, error) {
 		s, err := NewInspectSession(p, spec, seed)
 		if err != nil {
 			return CloudInspection{}, err
@@ -37,6 +37,13 @@ func MatrixSweep(ctx context.Context, spec chaos.Spec, seed int64, workers int) 
 		defer s.Close()
 		return s.InspectChannels(core.MatrixChannels(), 1), nil
 	})
+}
+
+// MatrixSweepWith is MatrixSweep with the per-target inspection supplied
+// by the caller (leaksd's pooled sessions), in matrix column order with
+// MatrixSweep's failure folding.
+func MatrixSweepWith(ctx context.Context, workers int, inspect func(cloud.ProviderProfile) (CloudInspection, error)) (*MatrixResult, error) {
+	ins, err := inspectProfiles(ctx, cloud.MatrixTargets(), workers, inspect)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: matrix sweep: %w", err)
 	}

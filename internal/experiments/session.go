@@ -30,11 +30,9 @@ import (
 // bytes — the later ones from cache.
 type InspectSession struct {
 	provider string
-	dc       *cloud.Datacenter
-	srv      *cloud.Server
 	cont     *pseudofs.Mount
 	eng      *engine.Engine
-	poolKey  string
+	world    *pooledWorld
 }
 
 // NewInspectSession builds the world InspectProviderSeeded would build
@@ -47,7 +45,7 @@ func NewInspectSession(p cloud.ProviderProfile, spec chaos.Spec, seed int64) (*I
 	if seed == 0 {
 		seed = DefaultInspectSeed
 	}
-	w, key, err := checkoutWorld(inspectPoolKey("inspect", p.Name, spec, seed),
+	w, err := checkoutWorld(poolKey{kind: "inspect", provider: p.Name, chaos: spec, seed: seed},
 		func() (*cloud.Datacenter, any, error) {
 			dc := cloud.New(cloud.Config{
 				Racks:          1,
@@ -73,11 +71,9 @@ func NewInspectSession(p cloud.ProviderProfile, spec chaos.Spec, seed int64) (*I
 	// confused by time appearing to run backwards.
 	return &InspectSession{
 		provider: p.Name,
-		dc:       w.dc,
-		srv:      sw.srv,
 		cont:     sw.cont.Mount(),
 		eng:      engine.New(sw.srv.HostMount()),
-		poolKey:  key,
+		world:    w,
 	}, nil
 }
 
@@ -91,7 +87,7 @@ type sessionWorld struct {
 // Close returns the session's world to the snapshot pool. The session must
 // not be used afterwards. Closing is optional — an unreturned world is
 // simply rebuilt by the next session for its key.
-func (s *InspectSession) Close() { releaseWorld(s.poolKey) }
+func (s *InspectSession) Close() { s.world.release() }
 
 // Provider returns the profile name the session inspects.
 func (s *InspectSession) Provider() string { return s.provider }
@@ -119,7 +115,8 @@ func (s *InspectSession) InspectChannels(channels []core.Channel, workers int) C
 // Advance drives the session's world forward by the given number of
 // 1-second ticks. Dirty subsystems are re-rendered on the next Inspect.
 func (s *InspectSession) Advance(ticks int) {
-	s.dc.Clock.Run(s.dc.Clock.Now()+float64(ticks), 1)
+	clock := s.world.dc.Clock
+	clock.Run(clock.Now()+float64(ticks), 1)
 }
 
 // EngineStats exposes the session engine's cache counters.
@@ -150,11 +147,9 @@ func InspectProviderSeeded(p cloud.ProviderProfile, spec chaos.Spec, seed int64)
 // DiscoverySession is the persistent testbed world behind discovery
 // sweeps, with an incremental engine over the host mount.
 type DiscoverySession struct {
-	dc      *cloud.Datacenter
-	srv     *cloud.Server
-	cont    *pseudofs.Mount
-	eng     *engine.Engine
-	poolKey string
+	cont  *pseudofs.Mount
+	eng   *engine.Engine
+	world *pooledWorld
 }
 
 // NewDiscoverySession builds the world Discovery would build
@@ -165,7 +160,7 @@ func NewDiscoverySession(spec chaos.Spec, seed int64) *DiscoverySession {
 	if seed == 0 {
 		seed = DefaultDiscoverySeed
 	}
-	w, key, _ := checkoutWorld(inspectPoolKey("discover", "", spec, seed),
+	w, _ := checkoutWorld(poolKey{kind: "discover", chaos: spec, seed: seed},
 		func() (*cloud.Datacenter, any, error) {
 			dc := cloud.New(cloud.Config{Racks: 1, ServersPerRack: 1, Seed: seed, Chaos: spec})
 			srv := dc.Racks[0].Servers[0]
@@ -175,17 +170,15 @@ func NewDiscoverySession(spec chaos.Spec, seed int64) *DiscoverySession {
 		})
 	sw := w.aux.(sessionWorld)
 	return &DiscoverySession{
-		dc:      w.dc,
-		srv:     sw.srv,
-		cont:    sw.cont.Mount(),
-		eng:     engine.New(sw.srv.HostMount()),
-		poolKey: key,
+		cont:  sw.cont.Mount(),
+		eng:   engine.New(sw.srv.HostMount()),
+		world: w,
 	}
 }
 
 // Close returns the session's world to the snapshot pool; the session must
 // not be used afterwards.
-func (s *DiscoverySession) Close() { releaseWorld(s.poolKey) }
+func (s *DiscoverySession) Close() { s.world.release() }
 
 // Discover runs the systematic sweep and reports leaking files outside the
 // known-channel registry (the matrix set: Table I plus the frequency

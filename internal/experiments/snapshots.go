@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/chaos"
 	"repro/internal/cloud"
+	"repro/internal/worlds"
 )
 
 // This file is the experiment layer's world-snapshot plumbing. Building a
@@ -31,70 +30,63 @@ func SnapshotRestores() uint64 { return snapshotRestores.Load() }
 // datacenter (probe container, rack under attack, …) — the restore
 // contract keeps those handles valid across rewinds. inUse guards the
 // window between checkout and release: a concurrent checkout of the same
-// key builds a throwaway world instead of sharing.
+// key builds a throwaway world instead of sharing. used is only touched by
+// the holder; it marks a world that must be rewound before its next use.
 type pooledWorld struct {
 	dc    *cloud.Datacenter
 	aux   any
-	snap  *cloud.WorldState
-	inUse bool
+	snap  *cloud.WorldState // nil for a throwaway world
+	inUse atomic.Bool
+	used  bool
 }
 
-var (
-	worldPoolMu sync.Mutex
-	worldPool   = make(map[string]*pooledWorld)
-)
+// poolKey identifies one warmed-up world: the builder that made it, the
+// provider profile (inspect worlds only), the observation-surface chaos
+// and the datacenter seed.
+type poolKey struct {
+	kind, provider string
+	chaos          chaos.Spec
+	seed           int64
+}
 
-// worldPoolCap bounds how many distinct session worlds stay resident; keys
-// beyond the cap build uncached (correct, just not accelerated).
+// worldPoolCap bounds how many distinct worlds stay resident; beyond it
+// the least-recently-used one is forgotten.
 const worldPoolCap = 32
 
-func inspectPoolKey(kind, provider string, spec chaos.Spec, seed int64) string {
-	return fmt.Sprintf("%s|%s|%g|%d|%d", kind, provider, spec.Rate, spec.Seed, seed)
-}
+var worldPool = worlds.New[poolKey, *pooledWorld](worldPoolCap)
 
-// checkoutWorld returns a warmed-up world for key: a pooled one rewound
-// to its post-warmup capture when available, otherwise a freshly built
-// one (registered in the pool on first build). The second result is the
-// pool key to release when done — empty when the world is unpooled.
-func checkoutWorld(key string, build func() (*cloud.Datacenter, any, error)) (*pooledWorld, string, error) {
-	worldPoolMu.Lock()
-	w, ok := worldPool[key]
-	if ok && !w.inUse {
-		w.inUse = true
-		worldPoolMu.Unlock()
+// checkoutWorld returns a warmed-up world for key: the pooled one, rewound
+// to its post-warmup capture if an earlier holder used it, or a fresh
+// build (captured and pooled on the key's first checkout, a throwaway
+// while the pooled one is checked out elsewhere). Release it when done.
+func checkoutWorld(key poolKey, build func() (*cloud.Datacenter, any, error)) (*pooledWorld, error) {
+	w, err := worldPool.Get(key, func() (*pooledWorld, error) {
+		dc, aux, err := build()
+		if err != nil {
+			return nil, err
+		}
+		return &pooledWorld{dc: dc, aux: aux, snap: dc.Snapshot()}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !w.inUse.CompareAndSwap(false, true) {
+		dc, aux, err := build()
+		if err != nil {
+			return nil, err
+		}
+		return &pooledWorld{dc: dc, aux: aux}, nil
+	}
+	if w.used {
 		w.dc.Restore(w.snap)
 		snapshotRestores.Add(1)
-		return w, key, nil
 	}
-	worldPoolMu.Unlock()
-
-	dc, aux, err := build()
-	if err != nil {
-		return nil, "", err
-	}
-	w = &pooledWorld{dc: dc, aux: aux, inUse: true}
-
-	worldPoolMu.Lock()
-	defer worldPoolMu.Unlock()
-	if _, exists := worldPool[key]; exists || len(worldPool) >= worldPoolCap {
-		// The key is taken (a concurrent first build won) or the pool is
-		// full: hand the world out unpooled.
-		return w, "", nil
-	}
-	w.snap = dc.Snapshot()
-	worldPool[key] = w
-	return w, key, nil
+	w.used = true
+	return w, nil
 }
 
-// releaseWorld returns a pooled world to the pool. The caller must not
-// touch the world afterwards; the next checkout rewinds it.
-func releaseWorld(key string) {
-	if key == "" {
-		return
-	}
-	worldPoolMu.Lock()
-	if w, ok := worldPool[key]; ok {
-		w.inUse = false
-	}
-	worldPoolMu.Unlock()
-}
+// release returns a checked-out world to the pool. The caller must not
+// touch the world afterwards; the next checkout rewinds it. Releasing a
+// throwaway world, or one the pool has since forgotten, changes nothing
+// anyone can check out.
+func (w *pooledWorld) release() { w.inUse.Store(false) }

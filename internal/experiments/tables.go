@@ -46,10 +46,17 @@ type Table1Result struct {
 // Inspections with Err set, and the returned error is non-nil only when
 // every provider failed.
 func Table1(ctx context.Context, spec chaos.Spec, seed int64, workers int) (*Table1Result, error) {
-	profiles := append([]cloud.ProviderProfile{cloud.LocalTestbed()}, cloud.CommercialClouds()...)
-	ins, err := inspectProfiles(ctx, profiles, workers, func(p cloud.ProviderProfile) (CloudInspection, error) {
+	return Table1With(ctx, workers, func(p cloud.ProviderProfile) (CloudInspection, error) {
 		return InspectProviderSeeded(p, spec, seed)
 	})
+}
+
+// Table1With is Table1 with the per-provider inspection supplied by the
+// caller: leaksd passes a lookup into its pooled sessions. The fan-out,
+// the profile order and the failure folding are Table1's.
+func Table1With(ctx context.Context, workers int, inspect func(cloud.ProviderProfile) (CloudInspection, error)) (*Table1Result, error) {
+	profiles := append([]cloud.ProviderProfile{cloud.LocalTestbed()}, cloud.CommercialClouds()...)
+	ins, err := inspectProfiles(ctx, profiles, workers, inspect)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: table 1: %w", err)
 	}

@@ -311,7 +311,7 @@ func (a *api) listScansLegacy(w http.ResponseWriter, _ *http.Request) {
 
 // jobHasVerdict reports whether any verdict cell of the job's result
 // carries the given availability glyph.
-func jobHasVerdict(j Job, verdict string) bool {
+func jobHasVerdict(j *Job, verdict string) bool {
 	if j.Result == nil {
 		return false
 	}

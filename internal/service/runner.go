@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/texttable"
@@ -20,7 +21,7 @@ func runScan(ctx context.Context, req ScanRequest) (*ScanResult, error) {
 }
 
 // runScanWith is runScan with an optional engine-backed session pool.
-// Chaos-free table1/inspect/discovery requests route through pooled
+// Chaos-free table1/inspect/matrix/discovery requests route through pooled
 // sessions when pool is non-nil, so a recurring scan's later ticks reuse
 // the incremental engine (cache hits, zero re-renders) instead of
 // rebuilding the world. The engine's byte-identity invariant — every pass
@@ -30,59 +31,41 @@ func runScan(ctx context.Context, req ScanRequest) (*ScanResult, error) {
 func runScanWith(ctx context.Context, req ScanRequest, pool *sessionPool) (*ScanResult, error) {
 	req = req.Normalize()
 	spec := req.Chaos()
-	pooled := pool != nil && req.ChaosRate == 0
+	if req.ChaosRate != 0 {
+		pool = nil
+	}
 	res := &ScanResult{Request: req}
 	switch req.Kind {
 	case KindTable1:
-		var (
-			t   *experiments.Table1Result
-			err error
-		)
-		if pooled {
-			t, err = pool.table1(ctx, req.Seed, req.Workers)
-		} else {
-			t, err = experiments.Table1(ctx, spec, req.Seed, req.Workers)
-		}
+		t, err := experiments.Table1With(ctx, req.Workers, inspectWith(req, pool, core.TableIChannels(), 1))
 		if err != nil {
 			return nil, err
 		}
 		res.Rendered = t.String()
 		res.Verdicts = verdictsOf(t.Inspections)
 	case KindInspect:
+		// A runtime target rolls up over the matrix channel set.
+		what, name, channels := "provider", req.Provider, core.TableIChannels()
+		lookup := ProviderByName
 		if req.Runtime != "" {
-			return runRuntimeInspect(ctx, req, pool, res)
+			what, name, channels = "runtime", req.Runtime, core.MatrixChannels()
+			lookup = RuntimeByName
 		}
-		p, ok := ProviderByName(req.Provider)
+		p, ok := lookup(name)
 		if !ok {
-			return nil, fmt.Errorf("service: unknown provider %q", req.Provider)
+			return nil, fmt.Errorf("service: unknown %s %q", what, name)
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var (
-			ins experiments.CloudInspection
-			err error
-		)
-		if pooled {
-			ins, err = pool.inspect(p, req.Seed, req.Workers)
-		} else {
-			ins, err = experiments.InspectProviderSeeded(p, spec, req.Seed)
-		}
+		ins, err := inspectWith(req, pool, channels, req.Workers)(p)
 		if err != nil {
 			return nil, err
 		}
 		res.Rendered = renderInspection(ins, req)
 		res.Verdicts = verdictsOf([]experiments.CloudInspection{ins})
 	case KindMatrix:
-		var (
-			m   *experiments.MatrixResult
-			err error
-		)
-		if pooled {
-			m, err = pool.matrix(ctx, req.Seed, req.Workers)
-		} else {
-			m, err = experiments.MatrixSweep(ctx, spec, req.Seed, req.Workers)
-		}
+		m, err := experiments.MatrixSweepWith(ctx, req.Workers, inspectWith(req, pool, core.MatrixChannels(), 1))
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +76,7 @@ func runScanWith(ctx context.Context, req ScanRequest, pool *sessionPool) (*Scan
 			d   *experiments.DiscoveryResult
 			err error
 		)
-		if pooled {
+		if pool != nil {
 			if err = ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -136,36 +119,26 @@ func runScanWith(ctx context.Context, req ScanRequest, pool *sessionPool) (*Scan
 	return res, nil
 }
 
-// runRuntimeInspect executes a single-runtime inspection (KindInspect with
-// Runtime set): the named runtime target rolled up over the matrix channel
-// set, pooled like any other inspect target when chaos is off.
-func runRuntimeInspect(ctx context.Context, req ScanRequest, pool *sessionPool, res *ScanResult) (*ScanResult, error) {
-	p, ok := RuntimeByName(req.Runtime)
-	if !ok {
-		return nil, fmt.Errorf("service: unknown runtime %q", req.Runtime)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var (
-		ins experiments.CloudInspection
-		err error
-	)
-	if pool != nil && req.ChaosRate == 0 {
-		ins, err = pool.inspectChannels(p, req.Seed, req.Workers, core.MatrixChannels())
-	} else {
-		var s *experiments.InspectSession
-		s, err = experiments.NewInspectSession(p, req.Chaos(), req.Seed)
-		if err == nil {
-			ins = s.InspectChannels(core.MatrixChannels(), req.Workers)
+// inspectWith returns how req inspects one target, rolled up over
+// channels with workers engine workers: through a pooled session when
+// pool is non-nil, otherwise through a one-shot session whose world goes
+// back to the experiment layer's pool after the pass (exactly what
+// InspectProviderSeeded and MatrixSweep run). The sweeps fan it out over
+// their targets with one engine worker each, as the one-shot sweeps do.
+func inspectWith(req ScanRequest, pool *sessionPool, channels []core.Channel, workers int) func(cloud.ProviderProfile) (experiments.CloudInspection, error) {
+	if pool != nil {
+		return func(p cloud.ProviderProfile) (experiments.CloudInspection, error) {
+			return pool.inspect(p, req.Seed, workers, channels)
 		}
 	}
-	if err != nil {
-		return nil, err
+	return func(p cloud.ProviderProfile) (experiments.CloudInspection, error) {
+		s, err := experiments.NewInspectSession(p, req.Chaos(), req.Seed)
+		if err != nil {
+			return experiments.CloudInspection{}, err
+		}
+		defer s.Close()
+		return s.InspectChannels(channels, workers), nil
 	}
-	res.Rendered = renderInspection(ins, req)
-	res.Verdicts = verdictsOf([]experiments.CloudInspection{ins})
-	return res, nil
 }
 
 // verdictsOf flattens inspections into (provider, channel, availability)

@@ -562,6 +562,36 @@ func (s *Scheduler) Jobs() []Job {
 	return out
 }
 
+// JobsPage filters the job history under the scheduler lock and copies
+// out only one page of it: the window [lo, hi) that window picks from the
+// matching jobs, in submission order, plus how many jobs match. A page
+// costs the same allocations however long the history is.
+func (s *Scheduler) JobsPage(match func(*Job) bool, window func(total int) (lo, hi int)) ([]Job, int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	total := 0
+	for _, id := range s.order {
+		if match(s.jobs[id]) {
+			total++
+		}
+	}
+	lo, hi := window(total)
+	out := make([]Job, 0, hi-lo)
+	i := 0
+	for _, id := range s.order {
+		if len(out) == hi-lo {
+			break
+		}
+		if j := s.jobs[id]; match(j) {
+			if i >= lo {
+				out = append(out, *j)
+			}
+			i++
+		}
+	}
+	return out, total
+}
+
 func (s *Scheduler) snapshot(id string) Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -209,27 +209,17 @@ func encodeJSON(v any) ([]byte, error) {
 // renderScans is the cold render behind GET /v1/scans: filter, then
 // window, then encode. Filters apply before pagination; the total is the
 // post-filter count so clients can window through exactly the matching
-// set.
+// set. Only the page leaves the scheduler.
 func (a *api) renderScans(q respcache.Query) ([]byte, int, error) {
-	jobs := a.sched.Jobs()
-	filtered := jobs[:0:0]
-	for _, j := range jobs {
-		if q.Provider != "" && j.Request.Provider != q.Provider {
-			continue
-		}
-		if q.Runtime != "" && j.Request.Runtime != q.Runtime {
-			continue
-		}
-		if q.Verdict != "" && !jobHasVerdict(j, q.Verdict) {
-			continue
-		}
-		filtered = append(filtered, j)
-	}
-	lo, hi := q.Window(len(filtered))
+	page, total := a.sched.JobsPage(func(j *Job) bool {
+		return (q.Provider == "" || j.Request.Provider == q.Provider) &&
+			(q.Runtime == "" || j.Request.Runtime == q.Runtime) &&
+			(q.Verdict == "" || jobHasVerdict(j, q.Verdict))
+	}, q.Window)
 	body, err := encodeJSON(struct {
 		Scans []Job `json:"scans"`
-	}{Scans: filtered[lo:hi]})
-	return body, len(filtered), err
+	}{Scans: page})
+	return body, total, err
 }
 
 // renderResults is the cold render behind GET /v1/results. ?verdict=

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/chaos"
@@ -10,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/worlds"
 )
 
 // sessionPool caches engine-backed experiment sessions across scheduler
@@ -25,29 +24,27 @@ import (
 //     instant, so every pass over it is byte-identical to a cold scan (the
 //     engine's invariant), and repeated passes are pure cache hits.
 //
-// The pool is bounded: beyond cap, the least-recently-used session is
-// evicted (seed-varied campaigns stream through without hoarding worlds).
+// The pool is a worlds.Cache: beyond cap, the least-recently-used session
+// is forgotten (seed-varied campaigns stream through without hoarding
+// worlds). A forgotten session is not closed — a pass still running on it
+// finishes undisturbed — so its world simply stays out of the experiment
+// layer's world pool until that pool forgets it too.
 type sessionPool struct {
-	mu     sync.Mutex
-	cap    int
-	tick   uint64 // LRU clock
-	insp   map[string]*inspectEntry
-	disc   map[int64]*discoveryEntry
-	hits   uint64 // session reuses
-	misses uint64 // session builds
+	c *worlds.Cache[sessionKey, *session]
 }
 
-type inspectEntry struct {
+// sessionKey names one pooled session: a provider or runtime target's
+// inspect world, or (provider "") the discovery testbed, at one seed.
+type sessionKey struct {
+	provider string
+	seed     int64
+}
+
+// session is one pooled world: exactly one of insp and disc is set.
+type session struct {
 	mu   sync.Mutex // serializes passes over one session's world
-	s    *experiments.InspectSession
-	err  error
-	last uint64
-}
-
-type discoveryEntry struct {
-	mu   sync.Mutex
-	s    *experiments.DiscoverySession
-	last uint64
+	insp *experiments.InspectSession
+	disc *experiments.DiscoverySession
 }
 
 // defaultSessionCap bounds the pool. Table I alone needs six inspect
@@ -59,191 +56,37 @@ func newSessionPool(cap int) *sessionPool {
 	if cap <= 0 {
 		cap = defaultSessionCap
 	}
-	return &sessionPool{
-		cap:  cap,
-		insp: make(map[string]*inspectEntry),
-		disc: make(map[int64]*discoveryEntry),
-	}
+	return &sessionPool{c: worlds.New[sessionKey, *session](cap)}
 }
 
-// inspect runs one provider inspection through a pooled session. The first
-// request for a (provider, seed) pair builds the session (all engine cache
-// misses — byte-identical to the one-shot path); later requests are served
-// from the session's caches with zero re-renders.
-func (p *sessionPool) inspect(prof cloud.ProviderProfile, seed int64, workers int) (experiments.CloudInspection, error) {
-	return p.inspectChannels(prof, seed, workers, core.TableIChannels())
-}
-
-// inspectChannels is inspect with an explicit channel registry. The session
-// (and its engine caches) is shared across channel sets — cross-validation
-// is channel-set independent, RollUp is post-processing — so a Table I scan
-// and a matrix scan of the same target reuse one world.
-func (p *sessionPool) inspectChannels(prof cloud.ProviderProfile, seed int64, workers int, channels []core.Channel) (experiments.CloudInspection, error) {
-	key := fmt.Sprintf("%s\x00%d", prof.Name, seed)
-	p.mu.Lock()
-	e, ok := p.insp[key]
-	if ok {
-		p.hits++
-	} else {
-		p.misses++
-		e = &inspectEntry{}
-		e.mu.Lock() // hold until built; followers queue on the entry lock
-		p.insp[key] = e
+// inspect runs one target inspection through a pooled session, rolled up
+// over channels. The first request for a (target, seed) pair builds the
+// session (all engine cache misses — byte-identical to the one-shot path);
+// later requests are served from the session's caches with zero
+// re-renders. The session is shared across channel sets — cross-validation
+// is channel-set independent, RollUp is post-processing — so a Table I
+// scan and a matrix scan of the same target reuse one world.
+func (p *sessionPool) inspect(prof cloud.ProviderProfile, seed int64, workers int, channels []core.Channel) (experiments.CloudInspection, error) {
+	s, err := p.c.Get(sessionKey{provider: prof.Name, seed: seed}, func() (*session, error) {
+		in, err := experiments.NewInspectSession(prof, chaos.Spec{}, seed)
+		return &session{insp: in}, err
+	})
+	if err != nil {
+		return experiments.CloudInspection{}, err
 	}
-	e.last = p.tickLocked()
-	if !ok {
-		p.evictLocked()
-	}
-	p.mu.Unlock()
-
-	if !ok {
-		s, err := experiments.NewInspectSession(prof, chaos.Spec{}, seed)
-		e.s, e.err = s, err
-		if err != nil {
-			p.mu.Lock()
-			delete(p.insp, key) // do not cache a broken world
-			p.mu.Unlock()
-		}
-		e.mu.Unlock()
-	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err != nil {
-		return experiments.CloudInspection{}, e.err
-	}
-	return e.s.InspectChannels(channels, workers), nil
-}
-
-// table1 runs the full six-provider Table I sweep through pooled sessions,
-// in profile order (the result slice order the renderer expects). Provider
-// failures are folded into the per-provider Err field exactly like the
-// one-shot sweep; the error return is non-nil only when every provider
-// failed or ctx was cancelled mid-sweep.
-func (p *sessionPool) table1(ctx context.Context, seed int64, workers int) (*experiments.Table1Result, error) {
-	profiles := append([]cloud.ProviderProfile{cloud.LocalTestbed()}, cloud.CommercialClouds()...)
-	ins := make([]experiments.CloudInspection, len(profiles))
-	failed := 0
-	var first error
-	for i, prof := range profiles {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		in, err := p.inspect(prof, seed, workers)
-		if err != nil {
-			ins[i] = experiments.CloudInspection{Provider: prof.Name, Err: err}
-			if first == nil {
-				first = err
-			}
-			failed++
-			continue
-		}
-		ins[i] = in
-	}
-	if failed == len(profiles) {
-		return nil, fmt.Errorf("experiments: table 1: all %d provider inspections failed, first: %w",
-			failed, first)
-	}
-	return &experiments.Table1Result{Inspections: ins}, nil
-}
-
-// matrix runs the runtime-aware sweep through pooled sessions, in matrix
-// column order (CC1–CC5 then the runtime targets). The CC1–CC5 sessions
-// are the same worlds table1 pools — a recurring matrix scan's cloud
-// columns are engine cache hits after any Table I scan, and vice versa.
-// Failures fold into per-target Err exactly like table1.
-func (p *sessionPool) matrix(ctx context.Context, seed int64, workers int) (*experiments.MatrixResult, error) {
-	targets := cloud.MatrixTargets()
-	ins := make([]experiments.CloudInspection, len(targets))
-	failed := 0
-	var first error
-	for i, prof := range targets {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		in, err := p.inspectChannels(prof, seed, workers, core.MatrixChannels())
-		if err != nil {
-			ins[i] = experiments.CloudInspection{Provider: prof.Name, Err: err}
-			if first == nil {
-				first = err
-			}
-			failed++
-			continue
-		}
-		ins[i] = in
-	}
-	if failed == len(targets) {
-		return nil, fmt.Errorf("experiments: matrix sweep: all %d target inspections failed, first: %w",
-			failed, first)
-	}
-	return &experiments.MatrixResult{Inspections: ins}, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.insp.InspectChannels(channels, workers), nil
 }
 
 // discovery runs the systematic sweep through a pooled testbed session.
 func (p *sessionPool) discovery(seed int64, workers int) *experiments.DiscoveryResult {
-	p.mu.Lock()
-	e, ok := p.disc[seed]
-	if ok {
-		p.hits++
-	} else {
-		p.misses++
-		e = &discoveryEntry{}
-		e.mu.Lock()
-		p.disc[seed] = e
-	}
-	e.last = p.tickLocked()
-	if !ok {
-		p.evictLocked()
-	}
-	p.mu.Unlock()
-
-	if !ok {
-		e.s = experiments.NewDiscoverySession(chaos.Spec{}, seed)
-		e.mu.Unlock()
-	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.s.Discover(workers)
-}
-
-// tickLocked advances the LRU clock. Callers hold p.mu.
-func (p *sessionPool) tickLocked() uint64 {
-	p.tick++
-	return p.tick
-}
-
-// evictLocked drops least-recently-used sessions until the pool fits its
-// cap. Callers hold p.mu. An evicted session that is still mid-pass keeps
-// running — eviction only forgets the pool's pointer.
-func (p *sessionPool) evictLocked() {
-	for len(p.insp)+len(p.disc) > p.cap {
-		var (
-			oldest   uint64 = ^uint64(0)
-			inspKey  string
-			discKey  int64
-			fromInsp bool
-			found    bool
-		)
-		for k, e := range p.insp {
-			if e.last < oldest {
-				oldest, inspKey, fromInsp, found = e.last, k, true, true
-			}
-		}
-		for k, e := range p.disc {
-			if e.last < oldest {
-				oldest, discKey, fromInsp, found = e.last, k, false, true
-			}
-		}
-		if !found {
-			return
-		}
-		if fromInsp {
-			delete(p.insp, inspKey)
-		} else {
-			delete(p.disc, discKey)
-		}
-	}
+	s, _ := p.c.Get(sessionKey{seed: seed}, func() (*session, error) {
+		return &session{disc: experiments.NewDiscoverySession(chaos.Spec{}, seed)}, nil
+	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.disc.Discover(workers)
 }
 
 // EngineInfo is the aggregate engine view the /v1/engine endpoint serves:
@@ -265,38 +108,22 @@ type EngineInfo struct {
 	SnapshotRestores uint64 `json:"snapshot_restores"`
 }
 
-// info snapshots the pool. Session engines are read without taking entry
-// locks — engine.Stats is internally synchronized.
+// info snapshots the pool. Session engines are read without taking the
+// sessions' pass locks — engine.Stats is internally synchronized.
 func (p *sessionPool) info() EngineInfo {
-	p.mu.Lock()
-	insp := make([]*inspectEntry, 0, len(p.insp))
-	for _, e := range p.insp {
-		insp = append(insp, e)
-	}
-	disc := make([]*discoveryEntry, 0, len(p.disc))
-	for _, e := range p.disc {
-		disc = append(disc, e)
-	}
+	hits, misses := p.c.Stats()
 	out := EngineInfo{
-		Sessions:         len(p.insp) + len(p.disc),
-		SessionHits:      p.hits,
-		SessionMisses:    p.misses,
+		Sessions:         p.c.Len(),
+		SessionHits:      hits,
+		SessionMisses:    misses,
 		SnapshotRestores: experiments.SnapshotRestores(),
 	}
-	p.mu.Unlock()
-	for _, e := range insp {
-		e.mu.Lock()
-		if e.s != nil {
-			out.Stats = out.Stats.Add(e.s.EngineStats())
+	for _, s := range p.c.Values() {
+		if s.insp != nil {
+			out.Stats = out.Stats.Add(s.insp.EngineStats())
+		} else {
+			out.Stats = out.Stats.Add(s.disc.EngineStats())
 		}
-		e.mu.Unlock()
-	}
-	for _, e := range disc {
-		e.mu.Lock()
-		if e.s != nil {
-			out.Stats = out.Stats.Add(e.s.EngineStats())
-		}
-		e.mu.Unlock()
 	}
 	return out
 }

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func TestRunScanWithPoolIsByteIdenticalAndCached(t *testing.T) {
@@ -66,6 +68,28 @@ func TestRunScanWithChaosBypassesPool(t *testing.T) {
 	}
 	if info := pool.info(); info.Sessions != 0 || info.SessionMisses != 0 {
 		t.Errorf("chaos request touched the session pool: %+v", info)
+	}
+}
+
+// TestChaosRuntimeInspectReturnsItsWorld: the one-shot chaos runtime
+// scan closes its session, so an identical rerun restores the pooled world
+// instead of rebuilding it, with the same bytes.
+func TestChaosRuntimeInspectReturnsItsWorld(t *testing.T) {
+	req := ScanRequest{Kind: KindInspect, Runtime: "gvisor", ChaosRate: 0.02, ChaosSeed: 3, Seed: 8_100_001}
+	before := experiments.SnapshotRestores()
+	first, err := runScan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := runScan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := experiments.SnapshotRestores() - before; got != 1 {
+		t.Errorf("two identical chaos runtime scans restored %d worlds, want 1", got)
+	}
+	if first.Rendered != second.Rendered {
+		t.Error("restored chaos runtime scan rendered differently")
 	}
 }
 
