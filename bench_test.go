@@ -67,7 +67,7 @@ func BenchmarkRecurringScanIncremental(b *testing.B) {
 	}
 	var leaking int
 	for i := 0; i < b.N; i++ {
-		leaking = countAvailable(s.Inspect(1))
+		leaking = countAvailable(s.Inspect())
 	}
 	st := s.EngineStats()
 	b.ReportMetric(float64(leaking), "local-channels-●")
@@ -94,7 +94,7 @@ func BenchmarkNewSeedInspect(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		leaking = countAvailable(s.Inspect(1))
+		leaking = countAvailable(s.Inspect())
 		s.Close()
 	}
 	b.ReportMetric(float64(leaking), "channels-●")
@@ -357,7 +357,7 @@ func BenchmarkAblationCrestThreshold(b *testing.B) {
 func BenchmarkDiscovery(b *testing.B) {
 	var novel int
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Discovery(context.Background(), chaos.Spec{}, 0, 0)
+		r, err := experiments.Discovery(context.Background(), chaos.Spec{}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

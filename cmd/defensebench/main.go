@@ -184,7 +184,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, r)
 	}
 	if *runtime != "" {
-		r, err := experiments.RuntimeDefense(*runtime, chaos.Spec{}, 0, *jobs)
+		r, err := experiments.RuntimeDefense(*runtime, chaos.Spec{}, 0)
 		if err != nil {
 			return fail(err)
 		}

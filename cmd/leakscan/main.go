@@ -97,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, r)
 	}
 	if *discover || all {
-		r, err := experiments.Discovery(ctx, spec, 0, *jobs)
+		r, err := experiments.Discovery(ctx, spec, 0)
 		if err != nil {
 			return fail(err)
 		}
@@ -111,14 +111,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, r)
 	}
 	if *runtime != "" {
-		r, err := experiments.InspectRuntimeChaosWorkers(*runtime, spec, *jobs)
+		r, err := experiments.InspectRuntime(*runtime, spec)
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Fprintln(stdout, r)
 	}
 	if *fleet > 0 {
-		r, err := experiments.FleetScanSeeded(ctx, spec, 0, *fleet, *jobs)
+		r, err := experiments.FleetScan(ctx, spec, 0, *fleet, *jobs)
 		if err != nil {
 			return fail(err)
 		}

@@ -134,7 +134,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8077", "listen address")
 	workers := fs.Int("workers", 2, "concurrent scan executors")
-	jobs := fs.Int("j", 0, "per-scan worker pool default (0 = GOMAXPROCS)")
 	queueCap := fs.Int("queue", 64, "bounded scan queue capacity")
 	storeCap := fs.Int("store", 128, "result store capacity (LRU beyond)")
 	storeTTL := fs.Duration("ttl", 15*time.Minute, "result store TTL")
@@ -167,7 +166,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 1
 	}
 	defer prof.Stop(func(format string, args ...any) { fmt.Fprintf(stderr, format, args...) })
-	_ = jobs // reserved: the per-request Workers field overrides; kept as a documented default
 	sched := service.New(service.Config{
 		QueueCap:    *queueCap,
 		Workers:     *workers,

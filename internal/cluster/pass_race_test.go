@@ -60,7 +60,7 @@ func TestDuplicateShardDeliveryRace(t *testing.T) {
 		defer wg.Done()
 		w.mu.RLock()
 		defer w.mu.RUnlock()
-		soloRes = w.eng.ValidateWorkers(w.mounts[solo], 2)
+		soloRes = w.eng.Validate(w.mounts[solo])
 	}()
 	wg.Wait()
 

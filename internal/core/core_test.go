@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -59,6 +60,19 @@ func TestCrossValidateLocalTestbedFindsLeaks(t *testing.T) {
 	// Paths outside the tree are never validated.
 	if got := byPath["/proc/kcore"].Status; got != Unknown {
 		t.Errorf("kcore = %v, want unknown (not in tree)", got)
+	}
+}
+
+// TestCrossValidateRepeatable: validating twice over the same paused world
+// yields identical findings — reads must not mutate kernel state
+// observable by a later pass.
+func TestCrossValidateRepeatable(t *testing.T) {
+	k, r, c := newTestbed(t, 7)
+	k.Tick(5, 5)
+	host := hostMount(k, r)
+	first := CrossValidate(host, c.Mount())
+	if second := CrossValidate(host, c.Mount()); !reflect.DeepEqual(first, second) {
+		t.Fatalf("repeated cross-validation diverged:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 }
 

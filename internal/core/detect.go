@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/parallel"
 	"repro/internal/pseudofs"
 )
 
@@ -63,35 +62,14 @@ type Finding struct {
 // CrossValidate implements the left half of Fig. 1: it recursively explores
 // every pseudo-file reachable in the container context, reads each file in
 // both the container and host contexts at the same instant, aligns by path,
-// and pairwise-diffs the contents. This is the strictly serial reference
-// path; CrossValidateWorkers fans the per-path validations out.
+// and pairwise-diffs the contents. This is the serial reference path the
+// incremental engine (internal/engine) is differentially tested against,
+// and the path it takes when the FS carries a fault injector.
 func CrossValidate(host, cont *pseudofs.Mount) []Finding {
 	var out []Finding
 	for _, path := range cont.Paths() {
 		out = append(out, validateOne(host, cont, path))
 	}
-	return out
-}
-
-// CrossValidateWorkers is CrossValidate fanned out over a bounded worker
-// pool (workers <= 0 selects GOMAXPROCS; 1 falls back to the serial loop).
-//
-// Safety rests on the pseudo-filesystem read-path audit: with the clock
-// paused, every handler is a pure read except /proc/sys/kernel/random/uuid
-// (its draw is serialized on a dedicated RNG inside the kernel) and a
-// defended host's energy_uj / temp#_input (their lazy accounting update is
-// serialized inside powerns and advances at most once per simulated
-// instant). Per-path findings are mutually independent, and parallel.Map
-// returns them in path order, so the result is byte-identical to the
-// serial path at any worker count.
-func CrossValidateWorkers(host, cont *pseudofs.Mount, workers int) []Finding {
-	paths := cont.Paths()
-	if parallel.Workers(workers) == 1 || len(paths) < 2 {
-		return CrossValidate(host, cont)
-	}
-	out, _ := parallel.Map(workers, paths, func(_ int, path string) (Finding, error) {
-		return validateOne(host, cont, path), nil
-	})
 	return out
 }
 

@@ -60,7 +60,8 @@
 //
 // Concurrency: the engine is safe for concurrent use, but the determinism
 // contract is the same as core's — run passes while the simulation clock
-// is paused. Results keep path order, so output is byte-identical at any
+// is paused. A pass fans out across containers only; each container's
+// paths are validated in path order, so output is byte-identical at any
 // worker count.
 package engine
 
@@ -126,7 +127,7 @@ type pass struct {
 	slabs  []*slab
 }
 
-// tally accumulates one goroutine's counter increments, so the shared
+// tally accumulates one container's counter increments, so the shared
 // atomic counters are touched once per container instead of per path.
 type tally struct {
 	hits, misses, hostHits, hostRenders uint64
@@ -164,23 +165,17 @@ func (e *Engine) Host() *pseudofs.Mount { return e.host }
 // from cache. Output is byte-identical to a cold core.CrossValidate on
 // (Host(), cont) at the same instant.
 func (e *Engine) Validate(cont *pseudofs.Mount) []core.Finding {
-	return e.ValidateWorkers(cont, 1)
-}
-
-// ValidateWorkers is Validate fanned out over a bounded worker pool
-// (workers <= 0 selects GOMAXPROCS). Results keep path order, so output is
-// byte-identical at any worker count.
-func (e *Engine) ValidateWorkers(cont *pseudofs.Mount, workers int) []core.Finding {
-	return e.FleetValidate([]*pseudofs.Mount{cont}, workers)[0]
+	return e.FleetValidate([]*pseudofs.Mount{cont}, 1)[0]
 }
 
 // FleetValidate validates many container mounts in one batched pass,
-// fanning the containers out over one worker pool (a single container fans
-// out by path instead). The host render cache guarantees each host-side
-// read is performed at most once per epoch and shared across all
-// containers, instead of once per (host, container) pair as the naive loop
-// would. Results are returned per container, in input order, each in path
-// order — byte-identical to calling core.CrossValidate per container.
+// fanning the containers out over one worker pool (workers <= 0 selects
+// GOMAXPROCS); each container's paths are validated serially. The host
+// render cache guarantees each host-side read is performed at most once
+// per epoch and shared across all containers, instead of once per (host,
+// container) pair as the naive loop would. Results are returned per
+// container, in input order, each in path order — byte-identical to
+// calling core.CrossValidate per container.
 func (e *Engine) FleetValidate(conts []*pseudofs.Mount, workers int) [][]core.Finding {
 	for _, c := range conts {
 		e.checkFS(c)
@@ -194,18 +189,18 @@ func (e *Engine) FleetValidate(conts []*pseudofs.Mount, workers int) [][]core.Fi
 		e.bypassedPasses.Add(1)
 		out := make([][]core.Finding, len(conts))
 		for i, c := range conts {
-			out[i] = core.CrossValidateWorkers(e.host, c, workers)
+			out[i] = core.CrossValidate(e.host, c)
 		}
 		return out
 	}
 	e.passes.Add(1)
 	p := e.begin(conts)
-	if len(conts) == 1 {
-		return [][]core.Finding{e.validate(conts[0], p, 0, workers)}
-	}
-	out, _ := parallel.Map(workers, conts, func(ci int, c *pseudofs.Mount) ([]core.Finding, error) {
-		return e.validate(c, p, ci, 1), nil
+	out, err := parallel.Map(workers, conts, func(ci int, c *pseudofs.Mount) ([]core.Finding, error) {
+		return e.validate(c, p, ci), nil
 	})
+	if err != nil {
+		panic(err) // only a panicking validation fails; rethrow it with its stack
+	}
 	return out
 }
 
@@ -252,32 +247,19 @@ func (e *Engine) begin(conts []*pseudofs.Mount) *pass {
 }
 
 // validate fills cont's slab (the pass's slab ci) under the slab lock and
-// returns cont's findings in path order, fanning out by path when workers
-// allows.
-func (e *Engine) validate(cont *pseudofs.Mount, p *pass, ci, workers int) []core.Finding {
+// returns cont's findings in path order.
+func (e *Engine) validate(cont *pseudofs.Mount, p *pass, ci int) []core.Finding {
 	s := p.slabs[ci]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if parallel.Workers(workers) == 1 {
-		var t tally
-		out := make([]core.Finding, len(e.paths))
-		bp := bufPool.Get().(*[]byte)
-		for i := range out {
-			out[i], *bp = e.fill(cont, s, p, i, *bp, &t)
-		}
-		bufPool.Put(bp)
-		e.record(t)
-		return out
+	var t tally
+	out := make([]core.Finding, len(e.paths))
+	bp := bufPool.Get().(*[]byte)
+	for i := range out {
+		out[i], *bp = e.fill(cont, s, p, i, *bp, &t)
 	}
-	out, _ := parallel.Map(workers, e.paths, func(i int, _ string) (core.Finding, error) {
-		var t tally
-		bp := bufPool.Get().(*[]byte)
-		f, b := e.fill(cont, s, p, i, *bp, &t)
-		*bp = b
-		bufPool.Put(bp)
-		e.record(t)
-		return f, nil
-	})
+	bufPool.Put(bp)
+	e.record(t)
 	return out
 }
 
@@ -329,7 +311,7 @@ func (e *Engine) hostContent(h *hostEntry, path string, t *tally) *core.HostCont
 	return &h.content
 }
 
-// record adds one goroutine's tally to the engine counters.
+// record adds one container's tally to the engine counters.
 func (e *Engine) record(t tally) {
 	e.findingHits.Add(t.hits)
 	e.findingMisses.Add(t.misses)

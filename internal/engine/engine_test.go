@@ -117,9 +117,8 @@ func TestByteIdentityProperty(t *testing.T) {
 			// no mutation
 		}
 
-		workers := 1 + rnd.Intn(4)
-		got := eng.ValidateWorkers(w.cont, workers)
-		want := core.CrossValidateWorkers(w.host, w.cont, workers)
+		got := eng.Validate(w.cont)
+		want := core.CrossValidate(w.host, w.cont)
 		if !reflect.DeepEqual(got, want) {
 			for i := range want {
 				if !reflect.DeepEqual(got[i], want[i]) {
@@ -180,8 +179,8 @@ func TestChaosBypassIsUncachedAndIdentical(t *testing.T) {
 	chaos.Install(wc.fs, spec, "engine-host")
 
 	eng := engine.New(we.host)
-	got := eng.ValidateWorkers(we.cont, 3)
-	want := core.CrossValidateWorkers(wc.host, wc.cont, 3)
+	got := eng.Validate(we.cont)
+	want := core.CrossValidate(wc.host, wc.cont)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("chaos-armed engine pass differs from uncached twin-world sweep")
 	}

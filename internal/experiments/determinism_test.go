@@ -59,16 +59,6 @@ func TestFig3SweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	})
 }
 
-func TestDiscoveryDeterministicAcrossWorkerCounts(t *testing.T) {
-	diffWorkers(t, "Discovery", func(w int) (string, error) {
-		r, err := Discovery(context.Background(), chaos.Spec{}, 0, w)
-		if err != nil {
-			return "", err
-		}
-		return r.String(), nil
-	})
-}
-
 func TestCovertSurveyDeterministicAcrossWorkerCounts(t *testing.T) {
 	diffWorkers(t, "CovertSurvey", func(w int) (string, error) {
 		r, err := CovertSurvey(context.Background(), w)

@@ -36,14 +36,14 @@ const DefaultDiscoverySeed int64 = 0xd15c
 //
 // The sweep runs as the first pass of a fresh DiscoverySession (see
 // session.go): all cache misses, byte-identical to the direct
-// core.CrossValidateWorkers path it replaces.
-func Discovery(ctx context.Context, spec chaos.Spec, seed int64, workers int) (*DiscoveryResult, error) {
+// core.CrossValidate path it replaces.
+func Discovery(ctx context.Context, spec chaos.Spec, seed int64) (*DiscoveryResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	s := NewDiscoverySession(spec, seed)
 	defer s.Close()
-	return s.Discover(workers), nil
+	return s.Discover(), nil
 }
 
 // String renders the discovery table.

@@ -10,7 +10,7 @@ import (
 )
 
 func TestDiscoveryFindsBeyondRegistryChannels(t *testing.T) {
-	r, err := Discovery(context.Background(), chaos.Spec{}, 0, 0)
+	r, err := Discovery(context.Background(), chaos.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

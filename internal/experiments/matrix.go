@@ -35,7 +35,7 @@ func MatrixSweep(ctx context.Context, spec chaos.Spec, seed int64, workers int) 
 			return CloudInspection{}, err
 		}
 		defer s.Close()
-		return s.InspectChannels(core.MatrixChannels(), 1), nil
+		return s.InspectChannels(core.MatrixChannels(), 0), nil
 	})
 }
 
@@ -70,11 +70,11 @@ func runtimeNames() []string {
 	return names
 }
 
-// InspectRuntimeChaosWorkers runs one sandboxed-runtime inspection over the
-// matrix channel set — the CLI face of leaksd's runtime= inspect scans. The
+// InspectRuntime runs one sandboxed-runtime inspection over the matrix
+// channel set — the CLI face of leaksd's runtime= inspect scans. The
 // result is a one-column matrix, rendered by the same table as the full
 // sweep.
-func InspectRuntimeChaosWorkers(name string, spec chaos.Spec, workers int) (*MatrixResult, error) {
+func InspectRuntime(name string, spec chaos.Spec) (*MatrixResult, error) {
 	p, ok := runtimeProfile(name)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown runtime %q (one of %v)", name, runtimeNames())
@@ -84,7 +84,7 @@ func InspectRuntimeChaosWorkers(name string, spec chaos.Spec, workers int) (*Mat
 		return nil, fmt.Errorf("experiments: runtime %s: %w", name, err)
 	}
 	defer s.Close()
-	return &MatrixResult{Inspections: []CloudInspection{s.InspectChannels(core.MatrixChannels(), workers)}}, nil
+	return &MatrixResult{Inspections: []CloudInspection{s.InspectChannels(core.MatrixChannels(), 0)}}, nil
 }
 
 // MatrixSession holds one persistent InspectSession per matrix target so
@@ -116,7 +116,7 @@ func NewMatrixSession(spec chaos.Spec, seed int64) (*MatrixSession, error) {
 func (m *MatrixSession) Sweep(workers int) *MatrixResult {
 	out, _ := parallel.MapSettleCtx(context.Background(), workers, m.sessions,
 		func(_ context.Context, _ int, s *InspectSession) (CloudInspection, error) {
-			return s.InspectChannels(core.MatrixChannels(), 1), nil
+			return s.InspectChannels(core.MatrixChannels(), 0), nil
 		})
 	return &MatrixResult{Inspections: out}
 }

@@ -126,8 +126,8 @@ func TestMatrixNarrowAndAvailable(t *testing.T) {
 	}
 }
 
-func TestInspectRuntimeChaosWorkers(t *testing.T) {
-	r, err := InspectRuntimeChaosWorkers("kata", chaos.Spec{}, 2)
+func TestInspectRuntime(t *testing.T) {
+	r, err := InspectRuntime("kata", chaos.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +137,14 @@ func TestInspectRuntimeChaosWorkers(t *testing.T) {
 	if !strings.Contains(r.String(), "KATA") {
 		t.Fatal("render lost the KATA header")
 	}
-	if _, err := InspectRuntimeChaosWorkers("firecracker", chaos.Spec{}, 0); err == nil ||
+	if _, err := InspectRuntime("firecracker", chaos.Spec{}); err == nil ||
 		!strings.Contains(err.Error(), "unknown runtime") {
 		t.Fatalf("unknown runtime error = %v", err)
 	}
 }
 
 func TestRuntimeDefenseScoresSandbox(t *testing.T) {
-	r, err := RuntimeDefense("gvisor", chaos.Spec{}, 0, 4)
+	r, err := RuntimeDefense("gvisor", chaos.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestRuntimeDefenseScoresSandbox(t *testing.T) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := RuntimeDefense("lxd", chaos.Spec{}, 0, 0); err == nil {
+	if _, err := RuntimeDefense("lxd", chaos.Spec{}, 0); err == nil {
 		t.Fatal("unknown runtime must error")
 	}
 }

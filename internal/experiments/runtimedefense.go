@@ -27,7 +27,7 @@ type RuntimeDefenseResult struct {
 // under the given chaos spec and datacenter seed (0 = DefaultInspectSeed).
 // Both inspections run over the same seed so the baseline and sandbox
 // columns observe the same world.
-func RuntimeDefense(name string, spec chaos.Spec, seed int64, workers int) (*RuntimeDefenseResult, error) {
+func RuntimeDefense(name string, spec chaos.Spec, seed int64) (*RuntimeDefenseResult, error) {
 	prof, ok := runtimeProfile(name)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown runtime %q (one of %v)", name, runtimeNames())
@@ -44,8 +44,8 @@ func RuntimeDefense(name string, spec chaos.Spec, seed int64, workers int) (*Run
 	defer sb.Close()
 	return &RuntimeDefenseResult{
 		Runtime:  name,
-		Baseline: base.InspectChannels(core.MatrixChannels(), workers),
-		Sandbox:  sb.InspectChannels(core.MatrixChannels(), workers),
+		Baseline: base.InspectChannels(core.MatrixChannels(), 0),
+		Sandbox:  sb.InspectChannels(core.MatrixChannels(), 0),
 	}, nil
 }
 

@@ -96,16 +96,21 @@ func (s *InspectSession) Provider() string { return s.provider }
 // the findings up into Table I channels. Repeated calls on an unadvanced
 // world serve every path from the engine cache with zero re-renders;
 // output is byte-identical to a cold scan in all cases.
-func (s *InspectSession) Inspect(workers int) CloudInspection {
-	return s.InspectChannels(core.TableIChannels(), workers)
+func (s *InspectSession) Inspect() CloudInspection {
+	return s.InspectChannels(core.TableIChannels(), 0)
 }
 
 // InspectChannels is Inspect against an arbitrary channel registry. The
 // cross-validation pass (and therefore the engine cache) is channel-set
 // independent — RollUp is pure post-processing over the findings — so one
 // session can serve Table I and the runtime matrix without re-rendering.
-func (s *InspectSession) InspectChannels(channels []core.Channel, workers int) CloudInspection {
-	findings := s.eng.ValidateWorkers(s.cont, workers)
+//
+// The workers argument is unused: one container's pass is validated
+// serially, and parallelism comes from running sessions side by side. It
+// stays because the benchmark module (perfbench/) passes it, and that
+// module changes only together with the benchmark.
+func (s *InspectSession) InspectChannels(channels []core.Channel, _ int) CloudInspection {
+	findings := s.eng.Validate(s.cont)
 	return CloudInspection{
 		Provider: s.provider,
 		Reports:  core.RollUp(channels, findings),
@@ -141,7 +146,7 @@ func InspectProviderSeeded(p cloud.ProviderProfile, spec chaos.Spec, seed int64)
 		return CloudInspection{}, err
 	}
 	defer s.Close()
-	return s.Inspect(1), nil
+	return s.Inspect(), nil
 }
 
 // DiscoverySession is the persistent testbed world behind discovery
@@ -185,8 +190,8 @@ func (s *DiscoverySession) Close() { s.world.release() }
 // channel, so the cpufreq files do not flood the report as undocumented
 // discoveries). Repeated calls on the frozen world are served from the
 // engine cache, byte-identical to a cold sweep.
-func (s *DiscoverySession) Discover(workers int) *DiscoveryResult {
-	findings := s.eng.ValidateWorkers(s.cont, workers)
+func (s *DiscoverySession) Discover() *DiscoveryResult {
+	findings := s.eng.Validate(s.cont)
 	res := &DiscoveryResult{
 		Findings: core.Discover(core.MatrixChannels(), findings),
 	}
@@ -216,12 +221,13 @@ type FleetScanResult struct {
 	Stats engine.Stats
 }
 
-// FleetScanSeeded launches n tenant containers on a single testbed server
+// FleetScan launches n tenant containers on a single testbed server
 // (seed 0 = DefaultInspectSeed) and cross-validates all of them in one
 // batched engine pass. With n containers and P host paths, the naive loop
 // performs up to n×P host reads; the fleet pass performs at most P host
-// renders and n×P−P shared hits. Honours ctx before building the world.
-func FleetScanSeeded(ctx context.Context, spec chaos.Spec, seed int64, n, workers int) (*FleetScanResult, error) {
+// renders and n×P−P shared hits, with the containers fanned out over
+// workers. Honours ctx before building the world.
+func FleetScan(ctx context.Context, spec chaos.Spec, seed int64, n, workers int) (*FleetScanResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func TestInspectSessionFirstPassMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewInspectSession: %v", err)
 	}
-	got := s.Inspect(1)
+	got := s.Inspect()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("session first pass differs from one-shot InspectProviderSeeded")
 	}
@@ -34,10 +34,10 @@ func TestInspectSessionRepeatIsCached(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewInspectSession: %v", err)
 	}
-	first := s.Inspect(2)
+	first := s.Inspect()
 	misses := s.EngineStats().FindingMisses
 
-	second := s.Inspect(2)
+	second := s.Inspect()
 	st := s.EngineStats()
 	if st.FindingMisses != misses {
 		t.Errorf("repeat inspect on frozen world re-validated %d paths, want 0", st.FindingMisses-misses)
@@ -60,16 +60,16 @@ func TestInspectSessionAdvanceByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewInspectSession: %v", err)
 	}
-	_ = inc.Inspect(1) // warm the caches at t=30
+	_ = inc.Inspect() // warm the caches at t=30
 	inc.Advance(7)
-	got := inc.Inspect(1)
+	got := inc.Inspect()
 
 	cold, err := NewInspectSession(p, chaos.Spec{}, 0)
 	if err != nil {
 		t.Fatalf("NewInspectSession (cold): %v", err)
 	}
 	cold.Advance(7)
-	want := cold.Inspect(1)
+	want := cold.Inspect()
 
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("incremental post-advance inspection differs from cold inspection at the same instant")
@@ -80,17 +80,17 @@ func TestInspectSessionAdvanceByteIdentity(t *testing.T) {
 }
 
 func TestDiscoverySessionMatchesOneShot(t *testing.T) {
-	want, err := Discovery(context.Background(), chaos.Spec{}, 0, 0)
+	want, err := Discovery(context.Background(), chaos.Spec{}, 0)
 	if err != nil {
 		t.Fatalf("one-shot discovery: %v", err)
 	}
 	s := NewDiscoverySession(chaos.Spec{}, 0)
-	got := s.Discover(1)
+	got := s.Discover()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("discovery session first pass differs from one-shot Discovery")
 	}
 	misses := s.EngineStats().FindingMisses
-	again := s.Discover(1)
+	again := s.Discover()
 	if s.EngineStats().FindingMisses != misses {
 		t.Error("repeat discovery on frozen world re-validated paths")
 	}
@@ -101,9 +101,9 @@ func TestDiscoverySessionMatchesOneShot(t *testing.T) {
 
 func TestFleetScanSharesHostReads(t *testing.T) {
 	const n = 5
-	r, err := FleetScanSeeded(context.Background(), chaos.Spec{}, 0, n, 4)
+	r, err := FleetScan(context.Background(), chaos.Spec{}, 0, n, 4)
 	if err != nil {
-		t.Fatalf("FleetScanSeeded: %v", err)
+		t.Fatalf("FleetScan: %v", err)
 	}
 	if r.Containers != n || len(r.LeakingPerContainer) != n {
 		t.Fatalf("fleet result shape: %+v", r)
@@ -124,12 +124,12 @@ func TestFleetScanSharesHostReads(t *testing.T) {
 		t.Error("impossible counter state") // keeps the fields honest under refactors
 	}
 
-	if _, err := FleetScanSeeded(context.Background(), chaos.Spec{}, 0, 0, 1); err == nil {
+	if _, err := FleetScan(context.Background(), chaos.Spec{}, 0, 0, 1); err == nil {
 		t.Error("fleet scan accepted 0 containers")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := FleetScanSeeded(ctx, chaos.Spec{}, 0, 1, 1); err == nil {
+	if _, err := FleetScan(ctx, chaos.Spec{}, 0, 1, 1); err == nil {
 		t.Error("fleet scan ignored a cancelled context")
 	}
 }

@@ -41,14 +41,6 @@ func MapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(conte
 	return out, nil
 }
 
-// ForEachCtx is MapCtx without results.
-func ForEachCtx[T any](ctx context.Context, workers int, items []T, fn func(context.Context, int, T) error) error {
-	_, err := MapCtx(ctx, workers, items, func(ctx context.Context, i int, item T) (struct{}, error) {
-		return struct{}{}, fn(ctx, i, item)
-	})
-	return err
-}
-
 // MapSettleCtx is MapSettle with cooperative cancellation: tasks
 // dispatched before cancellation run to completion and keep their
 // results; tasks reached after cancellation are skipped with ctx.Err()

@@ -1,12 +1,12 @@
 // Package parallel is the repository's deterministic fan-out layer: a
-// dependency-free bounded worker pool with order-preserving Map/ForEach
+// dependency-free bounded worker pool with order-preserving Map/MapSettle
 // combinators, first-error cancellation, and panic capture.
 //
 // Every headline experiment in this reproduction is an embarrassingly
 // parallel outer loop — one datacenter per cloud provider (Table I), one
-// seeded world per sweep point (Fig. 3), one pseudo-file per
-// cross-validation probe. This package fans those loops out across cores
-// under a strict determinism contract:
+// seeded world per sweep point (Fig. 3), one container per fleet scan.
+// This package fans those loops out across cores under a strict
+// determinism contract:
 //
 //   - Inputs are dispatched by index from a single atomic cursor; outputs
 //     are written to the result slot of the same index, so the output order
@@ -164,15 +164,6 @@ func Map[T, R any](workers int, items []T, fn func(int, T) (R, error)) ([]R, err
 		}
 	}
 	return out, nil
-}
-
-// ForEach is Map without results: it runs fn over every index on the pool
-// with the same cancellation and panic-capture semantics.
-func ForEach[T any](workers int, items []T, fn func(int, T) error) error {
-	_, err := Map(workers, items, func(i int, item T) (struct{}, error) {
-		return struct{}{}, fn(i, item)
-	})
-	return err
 }
 
 // MapSettle applies fn to every item with no cancellation: all tasks run to

@@ -119,28 +119,6 @@ func TestMapPanicCapture(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	items := []int64{1, 2, 3, 4, 5}
-	if err := ForEach(4, items, func(i int, v int64) error {
-		sum.Add(v)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 15 {
-		t.Fatalf("sum = %d, want 15", sum.Load())
-	}
-	if err := ForEach(4, items, func(i int, v int64) error {
-		if v == 3 {
-			return errors.New("nope")
-		}
-		return nil
-	}); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestMapSettleRunsEverythingAndMarksFailures(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5}
 	for _, workers := range []int{1, 3} {

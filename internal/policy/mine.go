@@ -22,7 +22,7 @@ type Options struct {
 	// observed surface — e.g. per-container veth names — without changing
 	// the per-path outcomes for the shared pseudo-files.
 	Containers int
-	// Workers bounds the capture/validation fan-out (default 1; <=0 is 1).
+	// Workers bounds the capture fan-out (default 1; <=0 is 1).
 	Workers int
 	// Chaos optionally injects the transient/dead-sensor fault layer the
 	// capture retries must ride out.

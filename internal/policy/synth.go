@@ -36,7 +36,7 @@ func Synthesize(p cloud.ProviderProfile, seed int64, opts Options) (Policy, erro
 		return Policy{}, err
 	}
 	eng := engine.New(w.srv.HostMount())
-	findings := eng.ValidateWorkers(w.probe.Mount(), opts.workers())
+	findings := eng.Validate(w.probe.Mount())
 	mined := w.mine(p.Name, seed, opts.workers())
 	rules := synthesize(w.srv.FS, core.TableIChannels(), findings, mined)
 	return Policy{

@@ -25,7 +25,7 @@ func TestPatternEvidenceMatchesPatternScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		findings := engine.New(w.srv.HostMount()).ValidateWorkers(w.probe.Mount(), 1)
+		findings := engine.New(w.srv.HostMount()).Validate(w.probe.Mount())
 		mined := w.mine(p.Name, DefaultSeed, 1)
 
 		leaksUnder, benignUnder := patternEvidence(channels, findings, mined)

@@ -60,14 +60,14 @@ func Verify(p cloud.ProviderProfile, pol Policy, seed int64, opts Options) (Repo
 	}
 	eng := engine.New(w.srv.HostMount())
 	channels := core.TableIChannels()
-	before := core.RollUp(channels, eng.ValidateWorkers(w.probe.Mount(), opts.workers()))
+	before := core.RollUp(channels, eng.Validate(w.probe.Mount()))
 	baseline := w.mine(p.Name, seed, opts.workers())
 
 	w.probe.ApplyPolicy(pol.Name(), rules)
 	for _, c := range w.tenants {
 		c.ApplyPolicy(pol.Name(), rules)
 	}
-	after := core.RollUp(channels, eng.ValidateWorkers(w.probe.Mount(), opts.workers()))
+	after := core.RollUp(channels, eng.Validate(w.probe.Mount()))
 	replay := w.mine(p.Name, seed, opts.workers())
 
 	rep := Report{

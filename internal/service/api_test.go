@@ -403,12 +403,17 @@ func TestAPIAcceptance(t *testing.T) {
 		defer cancel()
 		shutdownErr <- sched.Shutdown(ctx)
 	}()
-	// While draining, new submissions are refused with 503.
+	// While draining, new submissions are refused with 503. A probe that
+	// lands before Shutdown flips the drain flag is accepted and queued,
+	// and the drain runs it too, so it needs a gate token of its own.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		r, _ := postScanJSON(t, srv, `{"kind":"table1","seed":100}`)
 		if r.StatusCode == http.StatusServiceUnavailable {
 			break
+		}
+		if r.StatusCode == http.StatusAccepted {
+			gate <- struct{}{}
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("daemon never refused submissions while draining")

@@ -64,8 +64,10 @@ type ScanRequest struct {
 	// ChaosSeed seeds the fault streams (only meaningful with ChaosRate >
 	// 0; defaults to 1, matching the CLI flag default).
 	ChaosSeed int64 `json:"chaos_seed,omitempty"`
-	// Workers bounds the scan's internal worker pool (0 = GOMAXPROCS).
-	// Excluded from the dedup key: output is byte-identical at any count.
+	// Workers bounds how many of the scan's independent targets (clouds,
+	// runtimes, sweep points) run at once (0 = GOMAXPROCS); one target's
+	// pass is serial, so a single-target scan ignores it. Excluded from
+	// the dedup key: output is byte-identical at any count.
 	Workers int `json:"workers,omitempty"`
 	// Limit / Offset are the /v1 pagination parameters. Clients that reuse
 	// their list-query builders when submitting scans may send them; they

@@ -37,7 +37,7 @@ func runScanWith(ctx context.Context, req ScanRequest, pool *sessionPool) (*Scan
 	res := &ScanResult{Request: req}
 	switch req.Kind {
 	case KindTable1:
-		t, err := experiments.Table1With(ctx, req.Workers, inspectWith(req, pool, core.TableIChannels(), 1))
+		t, err := experiments.Table1With(ctx, req.Workers, inspectWith(req, pool, core.TableIChannels()))
 		if err != nil {
 			return nil, err
 		}
@@ -58,14 +58,14 @@ func runScanWith(ctx context.Context, req ScanRequest, pool *sessionPool) (*Scan
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ins, err := inspectWith(req, pool, channels, req.Workers)(p)
+		ins, err := inspectWith(req, pool, channels)(p)
 		if err != nil {
 			return nil, err
 		}
 		res.Rendered = renderInspection(ins, req)
 		res.Verdicts = verdictsOf([]experiments.CloudInspection{ins})
 	case KindMatrix:
-		m, err := experiments.MatrixSweepWith(ctx, req.Workers, inspectWith(req, pool, core.MatrixChannels(), 1))
+		m, err := experiments.MatrixSweepWith(ctx, req.Workers, inspectWith(req, pool, core.MatrixChannels()))
 		if err != nil {
 			return nil, err
 		}
@@ -80,9 +80,9 @@ func runScanWith(ctx context.Context, req ScanRequest, pool *sessionPool) (*Scan
 			if err = ctx.Err(); err != nil {
 				return nil, err
 			}
-			d = pool.discovery(req.Seed, req.Workers)
+			d = pool.discovery(req.Seed)
 		} else {
-			d, err = experiments.Discovery(ctx, spec, req.Seed, req.Workers)
+			d, err = experiments.Discovery(ctx, spec, req.Seed)
 		}
 		if err != nil {
 			return nil, err
@@ -120,15 +120,15 @@ func runScanWith(ctx context.Context, req ScanRequest, pool *sessionPool) (*Scan
 }
 
 // inspectWith returns how req inspects one target, rolled up over
-// channels with workers engine workers: through a pooled session when
-// pool is non-nil, otherwise through a one-shot session whose world goes
-// back to the experiment layer's pool after the pass (exactly what
-// InspectProviderSeeded and MatrixSweep run). The sweeps fan it out over
-// their targets with one engine worker each, as the one-shot sweeps do.
-func inspectWith(req ScanRequest, pool *sessionPool, channels []core.Channel, workers int) func(cloud.ProviderProfile) (experiments.CloudInspection, error) {
+// channels: through a pooled session when pool is non-nil, otherwise
+// through a one-shot session whose world goes back to the experiment
+// layer's pool after the pass (exactly what InspectProviderSeeded and
+// MatrixSweep run). The sweeps fan it out over their targets, as the
+// one-shot sweeps do.
+func inspectWith(req ScanRequest, pool *sessionPool, channels []core.Channel) func(cloud.ProviderProfile) (experiments.CloudInspection, error) {
 	if pool != nil {
 		return func(p cloud.ProviderProfile) (experiments.CloudInspection, error) {
-			return pool.inspect(p, req.Seed, workers, channels)
+			return pool.inspect(p, req.Seed, channels)
 		}
 	}
 	return func(p cloud.ProviderProfile) (experiments.CloudInspection, error) {
@@ -137,7 +137,7 @@ func inspectWith(req ScanRequest, pool *sessionPool, channels []core.Channel, wo
 			return experiments.CloudInspection{}, err
 		}
 		defer s.Close()
-		return s.InspectChannels(channels, workers), nil
+		return s.InspectChannels(channels, 0), nil
 	}
 }
 

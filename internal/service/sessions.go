@@ -66,7 +66,7 @@ func newSessionPool(cap int) *sessionPool {
 // re-renders. The session is shared across channel sets — cross-validation
 // is channel-set independent, RollUp is post-processing — so a Table I
 // scan and a matrix scan of the same target reuse one world.
-func (p *sessionPool) inspect(prof cloud.ProviderProfile, seed int64, workers int, channels []core.Channel) (experiments.CloudInspection, error) {
+func (p *sessionPool) inspect(prof cloud.ProviderProfile, seed int64, channels []core.Channel) (experiments.CloudInspection, error) {
 	s, err := p.c.Get(sessionKey{provider: prof.Name, seed: seed}, func() (*session, error) {
 		in, err := experiments.NewInspectSession(prof, chaos.Spec{}, seed)
 		return &session{insp: in}, err
@@ -76,17 +76,17 @@ func (p *sessionPool) inspect(prof cloud.ProviderProfile, seed int64, workers in
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.insp.InspectChannels(channels, workers), nil
+	return s.insp.InspectChannels(channels, 0), nil
 }
 
 // discovery runs the systematic sweep through a pooled testbed session.
-func (p *sessionPool) discovery(seed int64, workers int) *experiments.DiscoveryResult {
+func (p *sessionPool) discovery(seed int64) *experiments.DiscoveryResult {
 	s, _ := p.c.Get(sessionKey{seed: seed}, func() (*session, error) {
 		return &session{disc: experiments.NewDiscoverySession(chaos.Spec{}, seed)}, nil
 	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.disc.Discover(workers)
+	return s.disc.Discover()
 }
 
 // EngineInfo is the aggregate engine view the /v1/engine endpoint serves:

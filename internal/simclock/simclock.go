@@ -14,40 +14,24 @@
 //
 // # Sharded ticking
 //
-// A step optionally runs in three phases (see ARCHITECTURE.md, "tick
-// pipeline"): serial pre-phase tickers (OnTick), then per-shard tickers
-// (OnShardTick) — shards are mutually independent and may execute on worker
-// goroutines when SetWorkers(n>1) — and finally serial post-phase tickers
-// (OnPostTick). Within one shard, tickers still run strictly in
-// registration order on a single goroutine.
+// A step runs in three phases (see ARCHITECTURE.md, "tick pipeline"):
+// serial pre-phase tickers (OnTick), then per-shard tickers (OnShardTick)
+// in shard-index order, and finally serial post-phase tickers
+// (OnPostTick). Within one shard, tickers run in registration order.
 //
-// # Concurrency contract
-//
-// The phase split preserves the repo's byte-identity guarantee at any
-// worker count because the parallelism never reorders observable work:
-//
-//   - every ticker runs exactly once per step with the same (now, dt);
-//   - tickers registered on the same shard keep their registration order;
-//   - tickers on different shards must not share mutable state (callers
-//     guarantee this — in the cloud substrate a shard is one server, whose
-//     scheduler/power/chaos state is disjoint from every other server's);
-//   - pre- and post-phase tickers act as barriers: the pre-phase completes
-//     before any shard starts, and every shard completes before the
-//     post-phase begins, so cross-server readers (rack breakers) observe
-//     all servers fully ticked, in a fixed serial order.
-//
-// Everything outside the shard phase — events, pre/post tickers, Advance
-// itself — stays single-threaded, and with SetWorkers(1) (the default) the
-// shard phase degrades to a plain serial loop in shard-index order.
+// The shard phase is a serial loop. Shards still exist because they fix
+// the tick order and name the per-server unit of work: a shard is one
+// server, whose scheduler/power/chaos state is disjoint from every other
+// server's, and pre- and post-phase tickers act as barriers around all of
+// them, so cross-server readers (rack breakers) observe every server fully
+// ticked, in a fixed order. The program's parallelism lives one level up,
+// across independent worlds, so Advance starts no goroutine and allocates
+// nothing.
 package simclock
 
 import (
 	"container/heap"
 	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/parallel"
 )
 
 // Ticker is implemented by components that integrate state over simulated
@@ -92,21 +76,15 @@ func (q *eventQueue) Pop() any {
 // Clock is a deterministic simulated clock. The zero value is ready to use
 // and starts at time 0. Clock is not safe for concurrent use: Advance, Run,
 // At, and the registration methods must all be called from one goroutine.
-// The only internal concurrency is the shard phase of a step (see the
-// package comment's concurrency contract), and Advance joins all shard
-// workers before returning, so callers always observe a quiescent clock.
 type Clock struct {
 	now     float64
 	tickers []Ticker
 	events  eventQueue
 	seq     int
 
-	// Shard phase state. shards[i] holds the tickers of shard i in
-	// registration order; workers is the resolved worker count used to
-	// fan shards out (1 = serial).
-	shards  [][]Ticker
-	post    []Ticker
-	workers int
+	// shards[i] holds the tickers of shard i in registration order.
+	shards [][]Ticker
+	post   []Ticker
 }
 
 // New returns a Clock starting at t=0 seconds.
@@ -122,11 +100,10 @@ func (c *Clock) OnTick(t Ticker) {
 	c.tickers = append(c.tickers, t)
 }
 
-// OnShardTick registers t on shard (a small non-negative index). All
-// tickers of one shard run sequentially, in registration order, on a single
-// goroutine; distinct shards may run concurrently when SetWorkers(n>1), so
-// tickers on different shards must not share mutable state. The shard phase
-// runs after every OnTick ticker and before every OnPostTick ticker.
+// OnShardTick registers t on shard (a small non-negative index). Shards
+// tick in index order and the tickers of one shard in registration order;
+// tickers on different shards must not share mutable state. The shard
+// phase runs after every OnTick ticker and before every OnPostTick ticker.
 func (c *Clock) OnShardTick(shard int, t Ticker) {
 	if shard < 0 {
 		panic(fmt.Sprintf("simclock: OnShardTick(%d): shard must be non-negative", shard))
@@ -142,22 +119,6 @@ func (c *Clock) OnShardTick(shard int, t Ticker) {
 // order and may safely read state written by any shard.
 func (c *Clock) OnPostTick(t Ticker) {
 	c.post = append(c.post, t)
-}
-
-// SetWorkers sets the worker count for the shard phase. n <= 0 resolves to
-// GOMAXPROCS via the shared internal/parallel policy; n == 1 (the default)
-// ticks shards serially in index order. The rendered output of a run is
-// byte-identical at every worker count.
-func (c *Clock) SetWorkers(n int) {
-	c.workers = parallel.Workers(n)
-}
-
-// Workers reports the resolved shard-phase worker count (>= 1).
-func (c *Clock) Workers() int {
-	if c.workers < 1 {
-		return 1
-	}
-	return c.workers
 }
 
 // At schedules fn to run when simulated time reaches at seconds. Scheduling
@@ -198,72 +159,16 @@ func (c *Clock) Advance(dt float64) {
 	for _, t := range c.tickers {
 		t.Tick(c.now, dt)
 	}
-	// Phase 2: shards. Each shard's tickers run in registration order on
-	// one goroutine; shards are disjoint by contract, so fanning them out
-	// cannot change any shard's computation.
-	if len(c.shards) > 0 {
-		if c.Workers() > 1 && len(c.shards) > 1 {
-			c.tickShardsParallel(dt)
-		} else {
-			for _, shard := range c.shards {
-				for _, t := range shard {
-					t.Tick(c.now, dt)
-				}
-			}
+	// Phase 2: shards, in index order.
+	for _, shard := range c.shards {
+		for _, t := range shard {
+			t.Tick(c.now, dt)
 		}
 	}
 	// Phase 3: serial post-phase (cross-shard readers, e.g. rack breakers
 	// summing server power in fixed order).
 	for _, t := range c.post {
 		t.Tick(c.now, dt)
-	}
-}
-
-// tickShardsParallel fans the shard phase out over c.workers goroutines
-// using a work-stealing cursor, then joins them all before returning. It is
-// deliberately hand-rolled instead of reusing parallel.ForEach: Advance is
-// the innermost loop of every experiment (~10^5 calls per world), and the
-// generic helper's per-call result slice would show up as per-tick garbage.
-// A panic on any shard is captured and re-thrown on the caller's goroutine
-// after all workers have stopped, mirroring internal/parallel's policy.
-func (c *Clock) tickShardsParallel(dt float64) {
-	w := c.workers
-	if w > len(c.shards) {
-		w = len(c.shards)
-	}
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-		pmu    sync.Mutex
-		pval   any
-	)
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					pmu.Lock()
-					if pval == nil {
-						pval = r
-					}
-					pmu.Unlock()
-				}
-			}()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(c.shards) {
-					return
-				}
-				for _, t := range c.shards[i] {
-					t.Tick(c.now, dt)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if pval != nil {
-		panic(pval)
 	}
 }
 
