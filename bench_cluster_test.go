@@ -89,16 +89,28 @@ func BenchmarkClusterFleet(b *testing.B) {
 			// construction.
 			workers := make([]*cluster.Worker, n)
 			ids := make([]string, n)
+			replicas := make([]*cluster.FleetWorld, n)
 			for i := range workers {
 				ids[i] = fmt.Sprintf("w%d", i)
 				worlds := cluster.NewLocalWorlds(1)
-				if _, err := worlds.Fleet(spec); err != nil {
+				w, err := worlds.Fleet(spec)
+				if err != nil {
 					b.Fatal(err)
 				}
+				replicas[i] = w
 				workers[i] = cluster.NewWorker(ids[i], worlds)
 			}
 			coord := cluster.NewCoordinator(cluster.Config{ShardSize: benchShardSize},
 				cluster.NewInProc(workers...), ids, cluster.NewMetrics(nil))
+			// renders/op is every replica's pseudo-file renders per scan:
+			// the engine pass's render work, independent of timer noise.
+			renders := func() (sum uint64) {
+				for _, w := range replicas {
+					sum += w.Renders()
+				}
+				return sum
+			}
+			before := renders()
 
 			tick := float64(cluster.DefaultTick)
 			b.ResetTimer()
@@ -113,6 +125,7 @@ func BenchmarkClusterFleet(b *testing.B) {
 					b.Fatalf("iteration %d: partial=%v findings=%d", i, res.Partial, len(res.Findings))
 				}
 			}
+			b.ReportMetric(float64(renders()-before)/float64(b.N), "renders/op")
 		})
 	}
 }

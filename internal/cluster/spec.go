@@ -136,6 +136,10 @@ func (w *FleetWorld) Tick() float64 {
 // Stats exposes the replica engine's cache counters.
 func (w *FleetWorld) Stats() engine.Stats { return w.eng.Stats() }
 
+// Renders returns the replica's cumulative pseudo-file render count
+// (pseudofs.FS.Renders).
+func (w *FleetWorld) Renders() uint64 { return w.srv.FS.Renders() }
+
 // Pass validates the selected containers (fleet indices) at the given
 // tick, advancing the replica by the delta first when it is behind.
 // Results are per selected container, in request order, each in path

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/pseudofs"
 )
@@ -167,6 +168,15 @@ type HostContent struct {
 
 	linesOnce sync.Once
 	lines     map[string]struct{}
+}
+
+// Evidence is the evidence of a container read known to return exactly
+// this host read's bytes and error: a read of a path every reader sees
+// the same render of (pseudofs.FS.SharedAt), through mounts that neither
+// mask nor rewrite it (pseudofs.Mount.PlainAt). Content aliases Data
+// instead of copying it, so callers must not write to it.
+func (h *HostContent) Evidence() Evidence {
+	return ReadEvidence(unsafe.Slice(unsafe.StringData(h.Data), len(h.Data)), h.Err)
 }
 
 // overlap returns the fraction of non-empty container lines that appear

@@ -21,7 +21,7 @@
 //   - Finding slabs, one per container mount: slot i holds the verdict for
 //     path i and the source epoch it was computed at.
 //   - Host entries, one slot per path, once-per-epoch: during a fleet pass
-//     over N containers, the host-side content of each path is rendered at
+//     over N containers, the host-side read of each path is rendered at
 //     most once and shared by all N validations, together with its line
 //     set for the overlap measure, built at most once.
 //
@@ -32,25 +32,42 @@
 // container's slab lock while it fills the slab, so concurrent passes over
 // one container (a duplicated shard delivery) serialize instead of racing.
 //
-// One read per pure path. core.CrossValidate reads every path three times
-// in the container context and takes a majority, because under fault
-// injection a single read proves nothing. On a fault-free FS the extra
-// reads cannot differ: only chaos injectors fail transiently or flap a
-// mask, and renders are pure while the clock is paused. So a re-validation
-// classifies from a single container read (core.ReadEvidence) through the
-// same classifier core uses (core.Classify). Only paths tagged
-// pseudofs.Dep.Volatile (random/uuid) keep the full quorum, which both
-// detects their volatility and keeps the uuid generator's draws
-// identical. core keeps the quorum for every path: it is the chaos path
-// and the reference oracle the engine is differentially tested against.
+// One read per path and epoch for the whole fleet. core.CrossValidate
+// reads every path three times in the container context and takes a
+// majority, because under fault injection a single read proves nothing.
+// On a fault-free FS the extra reads cannot differ: only chaos injectors
+// fail transiently or flap a mask, and renders are pure while the clock is
+// paused. So a re-validation classifies from a single container read
+// (core.ReadEvidence) through the same classifier core uses
+// (core.Classify). Most paths need no container read at all. A path whose
+// render is global (pseudofs.FS.SharedAt: its render takes no View, and no
+// Replace handler or injector intervenes) and that neither the container's
+// nor the host's policy masks or rewrites (pseudofs.Mount.PlainAt) reads
+// the same bytes in every context, so the container's evidence is the
+// pass's host entry (core.HostContent.Evidence), rendered once per epoch
+// for every container. View renders, Replace handlers (stage-2/3 fixes),
+// power-namespace providers and Deny, Empty and Filter rules keep their
+// container read. Only paths tagged pseudofs.Dep.Volatile (random/uuid)
+// keep the full quorum, which both detects their volatility and keeps the
+// uuid generator's draws identical. core keeps the quorum for every path:
+// it is the chaos path and the reference oracle the engine is
+// differentially tested against.
+//
+// The host counters count what classification asks for, not what the
+// engine renders: a path's first core.Classify request for host content
+// in an epoch is its host render, later ones are hits, whether or not
+// shared evidence rendered the entry first.
 //
 // Byte-identity guarantee: at any epoch, Validate returns exactly what
 // core.CrossValidate would return on the same mounts at the same instant.
-// This rests on three invariants: (1) pseudo-file renders are pure for a
+// This rests on four invariants: (1) pseudo-file renders are pure for a
 // fixed view while the clock is paused, unless tagged volatile, (2)
 // dependency tags are conservative — a mutation may dirty more paths than
-// it changed but never fewer, and (3) volatile paths are classified by the
-// container quorum before the host read, so their content is never cached.
+// it changed but never fewer, (3) volatile paths are classified by the
+// container quorum before the host read, so their content is never cached,
+// and (4) a shared position read plain through both mounts renders the
+// same bytes and error for the host and every container, because a global
+// render cannot name the reader's View.
 //
 // Chaos bypass: a fault injector (internal/chaos) consumes per-read
 // randomness, so skipping reads would change every subsequent fault
@@ -110,12 +127,14 @@ type findingEntry struct {
 	f      core.Finding
 }
 
-// hostEntry renders host content for one path exactly once per epoch.
+// hostEntry holds the host read of one path at one epoch. It is rendered
+// at most once, by the first validation of the epoch that needs it, and
+// shared by every container of every pass at that epoch.
 type hostEntry struct {
-	epoch    uint64
-	once     sync.Once
-	rendered atomic.Bool
-	content  core.HostContent
+	epoch   uint64
+	once    sync.Once
+	asked   atomic.Bool // core.Classify has asked for the content
+	content core.HostContent
 }
 
 // pass is one validation pass's view of the caches: every path's source
@@ -275,15 +294,20 @@ func (e *Engine) fill(cont *pseudofs.Mount, s *slab, p *pass, i int, buf []byte,
 	}
 	t.misses++
 	path := e.paths[i]
+	h := p.hosts[i]
 	var ev core.Evidence
-	if e.volatile[i] {
+	switch {
+	case e.volatile[i]:
 		ev = core.QuorumEvidence(cont, path)
-	} else {
+	case e.fs.SharedAt(i) && e.host.PlainAt(i) && cont.PlainAt(i):
+		// The container read would return the host read's bytes: take
+		// them from the pass's host entry instead of rendering again.
+		ev = e.hostRead(h, path).Evidence()
+	default:
 		var err error
 		buf, err = cont.AppendReadAt(buf[:0], i)
 		ev = core.ReadEvidence(buf, err)
 	}
-	h := p.hosts[i]
 	f := core.Classify(path, ev, func() *core.HostContent { return e.hostContent(h, path, t) })
 	if !ent.filled {
 		s.cached.Add(1)
@@ -292,23 +316,25 @@ func (e *Engine) fill(cont *pseudofs.Mount, s *slab, p *pass, i int, buf []byte,
 	return f, buf
 }
 
-// hostContent returns the host content of path at the entry's epoch,
-// rendering it only if no validation of this epoch has yet.
+// hostRead returns the host read of path at the entry's epoch, rendering
+// it only if no validation of this epoch has yet.
+func (e *Engine) hostRead(h *hostEntry, path string) *core.HostContent {
+	h.once.Do(func() { h.content.Data, h.content.Err = e.host.Read(path) })
+	return &h.content
+}
+
+// hostContent is hostRead on core.Classify's request. The epoch's first
+// request counts as its host render and later ones as shared hits, even
+// when shared-path evidence rendered the entry before, so the counters
+// match a pass that renders host content only for classification.
 func (e *Engine) hostContent(h *hostEntry, path string, t *tally) *core.HostContent {
-	rendered := false
-	if !h.rendered.Load() {
-		h.once.Do(func() {
-			h.content.Data, h.content.Err = e.host.Read(path)
-			h.rendered.Store(true)
-			rendered = true
-		})
-	}
-	if rendered {
+	c := e.hostRead(h, path)
+	if h.asked.CompareAndSwap(false, true) {
 		t.hostRenders++
 	} else {
 		t.hostHits++
 	}
-	return &h.content
+	return c
 }
 
 // record adds one container's tally to the engine counters.

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/cloud"
 	"repro/internal/container"
 	"repro/internal/core"
+	"repro/internal/defense"
 	"repro/internal/engine"
 	"repro/internal/kernel"
 	"repro/internal/perfcount"
@@ -165,6 +167,74 @@ func TestFleetValidateSharesHostReads(t *testing.T) {
 	}
 	if st.HostHits == 0 {
 		t.Error("fleet pass recorded no shared host reads")
+	}
+
+	// After one tick, a pass renders each dirty path at most once for the
+	// host, and in each container only the dirty paths it cannot take
+	// from that host read: those not shared, not plain on both mounts, or
+	// volatile (core's quorum reads one three times).
+	epochs := make([]uint64, paths)
+	for i := range epochs {
+		epochs[i] = fs.PathEpochAt(i)
+	}
+	k.Tick(11, 1)
+	var dirty, perContainer uint64
+	for i, ep := range epochs {
+		if fs.PathEpochAt(i) == ep {
+			continue
+		}
+		dirty++
+		switch {
+		case fs.DepAt(i).Volatile:
+			perContainer += 3
+		case !fs.SharedAt(i) || !host.PlainAt(i) || !mounts[0].PlainAt(i):
+			perContainer++
+		}
+	}
+	before := fs.Renders()
+	eng.FleetValidate(mounts, 4)
+	bound := dirty + n*perContainer
+	if got := fs.Renders() - before; got > bound || got == 0 {
+		t.Errorf("pass after one tick rendered %d times, want 1..%d (%d dirty paths, %d per container)", got, bound, dirty, perContainer)
+	}
+}
+
+// TestValidateMatchesColdScanOnFixedWorlds pins the engine to core on
+// worlds where Replace handlers, power-namespace providers and provider
+// masks decide which paths a container may take from the host read: a
+// stage-2/3-defended server and each commercial cloud, at two ticks.
+func TestValidateMatchesColdScanOnFixedWorlds(t *testing.T) {
+	cfgs := map[string]cloud.Config{"defended": {Seed: 41, Defended: true}}
+	for _, prof := range cloud.CommercialClouds() {
+		prof := prof
+		cfgs[prof.Name] = cloud.Config{Seed: 42, Provider: &prof}
+	}
+	for name, cfg := range cfgs {
+		cfg.Racks, cfg.ServersPerRack = 1, 1
+		dc := cloud.New(cfg)
+		srv := dc.Racks[0].Servers[0]
+		if cfg.Defended {
+			defense.ApplyStatisticsFixes(srv.FS)
+		}
+		var mounts []*pseudofs.Mount
+		for i := 0; i < 2; i++ {
+			_, c, err := dc.Launch("tenant", fmt.Sprintf("probe-%d", i), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mounts = append(mounts, c.Mount())
+		}
+		host := srv.HostMount()
+		eng := engine.New(host)
+		for _, tick := range []float64{30, 31} {
+			dc.Clock.Run(tick, 1)
+			all := eng.FleetValidate(mounts, 2)
+			for i, m := range mounts {
+				if want := core.CrossValidate(host, m); !reflect.DeepEqual(all[i], want) {
+					t.Errorf("%s t=%g container %d: engine findings differ from cold scan", name, tick, i)
+				}
+			}
+		}
 	}
 }
 

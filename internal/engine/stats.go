@@ -21,8 +21,8 @@ type Stats struct {
 	HostRenders uint64 `json:"host_renders"`
 
 	// CachedFindings and CachedHostPaths are current cache sizes: the
-	// (container, path) verdicts held, and the paths whose host render at
-	// their latest epoch is held.
+	// (container, path) verdicts held, and the paths whose host content at
+	// their latest epoch a classification has used.
 	CachedFindings  int `json:"cached_findings"`
 	CachedHostPaths int `json:"cached_host_paths"`
 
@@ -41,7 +41,7 @@ func (e *Engine) Stats() Stats {
 		nf += int(s.cached.Load())
 	}
 	for _, h := range e.hostc {
-		if h != nil && h.rendered.Load() {
+		if h != nil && h.asked.Load() {
 			nh++
 		}
 	}

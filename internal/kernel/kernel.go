@@ -130,7 +130,10 @@ type Kernel struct {
 	tasks      map[int]*Task
 	cgroups    map[string]*Cgroup
 	nextLockID int
-	sysLocks   []FileLock
+	// sysLocks is a ring of the system daemons' last sysLockWindow locks:
+	// sysLockSeq counts the locks ever taken, and lock s (from 1) sits in
+	// slot (s-1) % sysLockWindow.
+	sysLocks   [sysLockWindow]FileLock
 	sysLockSeq uint64
 
 	// taskList mirrors tasks in ascending-pid order and cgroupList mirrors
@@ -733,16 +736,13 @@ func (k *Kernel) Tick(now, dt float64) {
 	// /proc/locks a time-varying channel.
 	if k.rng.Float64() < 0.2*dt {
 		k.sysLockSeq++
-		k.sysLocks = append(k.sysLocks, FileLock{
+		k.sysLocks[(k.sysLockSeq-1)%sysLockWindow] = FileLock{
 			ID:      -int(k.sysLockSeq), // negative IDs: kernel-internal rows
 			Type:    "FLOCK",
 			Mode:    "ADVISORY",
 			RW:      "WRITE",
 			HostPID: 100 + int(k.sysLockSeq)%50,
 			Inode:   uint64(k.rng.Intn(1 << 20)),
-		})
-		if len(k.sysLocks) > 6 {
-			k.sysLocks = k.sysLocks[1:]
 		}
 	}
 

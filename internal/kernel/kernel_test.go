@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/perfcount"
@@ -268,6 +269,40 @@ func TestMeminfoRespondsToRSS(t *testing.T) {
 	}
 }
 
+// TestSystemLockWindow checks the tick's lock churn keeps exactly the
+// newest sysLockWindow daemon locks, oldest first, through a wrap of the
+// ring and a Snapshot/Restore.
+func TestSystemLockWindow(t *testing.T) {
+	k := newTestKernel(13)
+	check := func() {
+		t.Helper()
+		got := k.SystemLocks()
+		n := min(int(k.sysLockSeq), sysLockWindow)
+		if len(got) != n {
+			t.Fatalf("after %d locks: %d live, want %d", k.sysLockSeq, len(got), n)
+		}
+		for j, l := range got {
+			s := int(k.sysLockSeq) - n + 1 + j
+			if l.ID != -s || l.HostPID != 100+s%50 {
+				t.Fatalf("after %d locks: entry %d is lock %d (pid %d), want lock %d", k.sysLockSeq, j, -l.ID, l.HostPID, s)
+			}
+		}
+	}
+	for k.sysLockSeq < 3*sysLockWindow {
+		tick(k, 1)
+		check()
+	}
+	snap, want := k.Snapshot(), k.SystemLocks()
+	for seq := k.sysLockSeq; k.sysLockSeq < seq+2; {
+		tick(k, 1)
+	}
+	k.Restore(snap)
+	check()
+	if got := k.SystemLocks(); !slices.Equal(got, want) {
+		t.Errorf("restored window %v, want %v", got, want)
+	}
+}
+
 func TestZoneSnapshotConsistent(t *testing.T) {
 	k := newTestKernel(12)
 	zones := k.ZoneSnapshot()
@@ -395,9 +430,16 @@ func TestVFSCountersPositive(t *testing.T) {
 
 func TestNewidleCostWalksWithinBounds(t *testing.T) {
 	k := newTestKernel(19)
-	before := k.NewidleCost()
+	costs := func() []uint64 {
+		out := make([]uint64, k.Options().Cores)
+		for cpu := range out {
+			out[cpu] = k.NewidleCost(cpu)
+		}
+		return out
+	}
+	before := costs()
 	tick(k, 50)
-	after := k.NewidleCost()
+	after := costs()
 	changed := false
 	for i := range after {
 		if after[i] != before[i] {

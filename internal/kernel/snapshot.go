@@ -53,7 +53,7 @@ type Snapshot struct {
 	cgState []cgSnap
 
 	nextLockID int
-	sysLocks   []FileLock
+	sysLocks   [sysLockWindow]FileLock
 	sysLockSeq uint64
 
 	cpu          []CPUTimes
@@ -149,7 +149,7 @@ func (k *Kernel) Snapshot() *Snapshot {
 		nextPID:    k.nextPID,
 
 		nextLockID: k.nextLockID,
-		sysLocks:   append([]FileLock(nil), k.sysLocks...),
+		sysLocks:   k.sysLocks,
 		sysLockSeq: k.sysLockSeq,
 
 		cpu:          append([]CPUTimes(nil), k.cpu...),
@@ -284,7 +284,7 @@ func (k *Kernel) Restore(s *Snapshot) {
 	k.nextPID = s.nextPID
 
 	k.nextLockID = s.nextLockID
-	k.sysLocks = append(k.sysLocks[:0:0], s.sysLocks...)
+	k.sysLocks = s.sysLocks
 	k.sysLockSeq = s.sysLockSeq
 
 	copy(k.cpu, s.cpu)

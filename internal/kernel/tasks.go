@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/perfcount"
@@ -131,12 +133,7 @@ func (k *Kernel) Task(hostPID int) *Task { return k.tasks[hostPID] }
 // what a handler without a PID-namespace check iterates (the sched_debug
 // leak). Namespace-respecting consumers should use TasksInNS.
 func (k *Kernel) Tasks() []*Task {
-	out := make([]*Task, 0, len(k.tasks))
-	for _, t := range k.tasks {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].HostPID < out[j].HostPID })
-	return out
+	return append([]*Task(nil), k.taskList...)
 }
 
 // TasksInNS returns only the tasks visible in the given PID namespace,
@@ -271,18 +268,40 @@ func (k *Kernel) AddFileLock(t *Task, rw string, inode uint64) FileLock {
 // namespace-oblivious view. System daemon locks (churned by the kernel
 // tick) appear alongside tenant locks.
 func (k *Kernel) FileLocks() []FileLock {
-	out := append([]FileLock(nil), k.sysLocks...)
-	for _, cg := range k.cgroups {
+	n := k.numSysLocks()
+	for _, cg := range k.cgroupList {
+		n += len(cg.locks)
+	}
+	out := k.appendSysLocks(make([]FileLock, 0, n))
+	for _, cg := range k.cgroupList {
 		out = append(out, cg.locks...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b FileLock) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
 // SystemLocks returns the locks held by system daemons outside any
-// container cgroup.
+// container cgroup, oldest first.
 func (k *Kernel) SystemLocks() []FileLock {
-	return append([]FileLock(nil), k.sysLocks...)
+	return k.appendSysLocks(nil)
+}
+
+// sysLockWindow is how many system-daemon locks are live at once: the
+// tick's churn drops the oldest when it takes one more.
+const sysLockWindow = 6
+
+// numSysLocks returns how many system-daemon locks are live.
+func (k *Kernel) numSysLocks() int {
+	return int(min(k.sysLockSeq, sysLockWindow))
+}
+
+// appendSysLocks appends the live system-daemon locks to dst, oldest
+// first.
+func (k *Kernel) appendSysLocks(dst []FileLock) []FileLock {
+	for s := k.sysLockSeq - uint64(k.numSysLocks()) + 1; s <= k.sysLockSeq; s++ {
+		dst = append(dst, k.sysLocks[(s-1)%sysLockWindow])
+	}
+	return dst
 }
 
 // FileLocksInCgroup returns only the locks held by tasks of one cgroup —

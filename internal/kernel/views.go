@@ -172,13 +172,9 @@ func (k *Kernel) SchedStatSnapshot() []SchedStatCPU {
 	return out
 }
 
-// NewidleCost returns the per-CPU max_newidle_lb_cost scheduler-domain
-// values.
-func (k *Kernel) NewidleCost() []uint64 {
-	out := make([]uint64, len(k.newidleCost))
-	copy(out, k.newidleCost)
-	return out
-}
+// NewidleCost returns one CPU's max_newidle_lb_cost scheduler-domain
+// value.
+func (k *Kernel) NewidleCost(cpu int) uint64 { return k.newidleCost[cpu] }
 
 // EntropyAvail returns the current /proc/sys/kernel/random/entropy_avail.
 func (k *Kernel) EntropyAvail() int { return int(k.entropyAvail) }
@@ -356,13 +352,11 @@ func (k *Kernel) BuddyInfo() []uint64 {
 
 // NetDevices returns the device list of the given NET namespace; passing the
 // init namespace yields the physical host devices. This is the *correct*
-// namespaced accessor.
-func (k *Kernel) NetDevices(ns *NSSet) []NetDev {
-	return append([]NetDev(nil), ns.NetDevs...)
-}
+// namespaced accessor. The list is borrowed, not copied: callers read it
+// while the clock is paused and neither modify nor keep it.
+func (k *Kernel) NetDevices(ns *NSSet) []NetDev { return ns.NetDevs }
 
 // HostNetDevices returns init_net's devices regardless of the caller's
 // namespace — the for_each_netdev_rcu(&init_net, …) bug of Case Study I.
-func (k *Kernel) HostNetDevices() []NetDev {
-	return append([]NetDev(nil), k.initNS.NetDevs...)
-}
+// Like NetDevices, the list is borrowed.
+func (k *Kernel) HostNetDevices() []NetDev { return k.initNS.NetDevs }

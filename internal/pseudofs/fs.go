@@ -6,12 +6,13 @@
 // render function — is an immutable layout computed once per (Hardware,
 // core count) and shared by every FS of that shape; a path's position in
 // the layout is its identity on every read path. A FS adds only its kernel,
-// its providers and position-indexed overrides. Each render receives the
-// reading View — which namespace set and cgroup the reader belongs to —
-// and renders file content from live kernel state. Renders written against
-// the *global* kernel accessors reproduce Linux 4.7's missing-namespace-
-// check bugs (the leakage channels of Table I); renders written against
-// the NS-aware accessors model correctly containerized files.
+// its providers and position-indexed overrides. Renders produce file
+// content from live kernel state. A global render takes no View and reads
+// the *global* kernel accessors, reproducing Linux 4.7's missing-namespace-
+// check bugs (the leakage channels of Table I); every reader sees the same
+// bytes, which FS.SharedAt reports. A view render receives the reading
+// View — which namespace set and cgroup the reader belongs to — and models
+// a correctly containerized file through the NS-aware accessors.
 //
 // Mount combines an FS with a View and a masking Policy, modeling both what
 // container runtimes mount read-only into every container and the
@@ -265,7 +266,20 @@ func (fs *FS) appendAt(dst []byte, i int, path string, v View) ([]byte, error) {
 			return h(dst, v)
 		}
 	}
-	return fs.lay.render[i](fs, fs.lay.arg[i], dst, v)
+	if r := fs.lay.global[i]; r != nil {
+		return r(fs, fs.lay.arg[i], dst)
+	}
+	return fs.lay.view[i](fs, fs.lay.arg[i], dst, v)
+}
+
+// SharedAt reports whether every reader sees the same render of layout
+// position i: its layout render is global, no Replace handler overrides
+// it, and no fault injector is installed. A mount's policy may still
+// rewrite the read (Mount.PlainAt), and a volatile path (Dep.Volatile)
+// still differs from one read to the next.
+func (fs *FS) SharedAt(i int) bool {
+	return fs.lay.global[i] != nil && fs.injector == nil &&
+		(fs.override == nil || fs.override[i] == nil)
 }
 
 // Renders returns the cumulative number of handler invocations (genuine
@@ -410,6 +424,13 @@ func (m *Mount) ruleAt(i int, path string) int {
 	default:
 		return m.rules.First(path)
 	}
+}
+
+// PlainAt reports whether a read of layout position i through m is the
+// FS's render, unmasked: no rule matches it, or an Allow rule does.
+func (m *Mount) PlainAt(i int) bool {
+	r := m.ruleAt(i, "")
+	return r < 0 || m.policy.Rules[r].Do == Allow
 }
 
 // View returns the mount's reader context.

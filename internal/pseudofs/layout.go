@@ -6,12 +6,22 @@ import (
 	"sync"
 )
 
-// render renders the file at one layout position for fs, appending to dst
-// (see Handler for the buffer contract). arg is the index the path was
+// A layout render renders the file at one position for fs, appending to
+// dst (see Handler for the buffer contract). arg is the index the path was
 // laid out with: a CPU, a packed CPU and idle state, a RAPL domain, a
 // namespace type or a constant text. Renders capture nothing, so one
 // layout serves every FS of its key.
-type render func(fs *FS, arg int32, dst []byte, v View) ([]byte, error)
+//
+// A globalRender takes no View, so its bytes cannot depend on the reader:
+// it reads kernel-wide state with no namespace check, which is how Linux
+// 4.7 renders the leakage channels of Table I. A viewRender consults the
+// reader's View, directly or through a provider, and models a correctly
+// containerized file. The signature is the only proof of view-independence
+// the engine relies on to share one render among every reader.
+type (
+	globalRender func(fs *FS, arg int32, dst []byte) ([]byte, error)
+	viewRender   func(fs *FS, arg int32, dst []byte, v View) ([]byte, error)
+)
 
 // layoutKey is what the shape of a pseudo-file tree depends on: the
 // optional sensors, and the core count, because the cpuidle, cpufreq,
@@ -24,12 +34,14 @@ type layoutKey struct {
 // layout is the shape of every tree of one key, never mutated once
 // newLayout returns: the sorted paths and, by position, each path's
 // dependency tag, render function and render argument, plus the constant
-// texts of the static files.
+// texts of the static files. Exactly one of global[i] and view[i] is set;
+// global[i] != nil is position i's view-independence bit.
 type layout struct {
 	paths  []string
 	index  map[string]int32
 	deps   []Dep
-	render []render
+	global []globalRender
+	view   []viewRender
 	arg    []int32
 	text   []string
 }
@@ -55,11 +67,20 @@ func layoutFor(key layoutKey) *layout {
 	return layouts[key]
 }
 
-// add registers a file at the end of the layout; finish sorts it into
-// place.
-func (l *layout) add(path string, arg int32, r render) {
+// add registers a file with a global render at the end of the layout;
+// finish sorts it into place.
+func (l *layout) add(path string, arg int32, r globalRender) {
 	l.paths = append(l.paths, path)
-	l.render = append(l.render, r)
+	l.global = append(l.global, r)
+	l.view = append(l.view, nil)
+	l.arg = append(l.arg, arg)
+}
+
+// addView registers a file whose render reads the reader's View.
+func (l *layout) addView(path string, arg int32, r viewRender) {
+	l.paths = append(l.paths, path)
+	l.global = append(l.global, nil)
+	l.view = append(l.view, r)
 	l.arg = append(l.arg, arg)
 }
 
@@ -69,7 +90,7 @@ func (l *layout) static(path, content string) {
 	l.text = append(l.text, content)
 }
 
-func renderText(fs *FS, i int32, b []byte, _ View) ([]byte, error) {
+func renderText(fs *FS, i int32, b []byte) ([]byte, error) {
 	return append(b, fs.lay.text[i]...), nil
 }
 
@@ -103,7 +124,8 @@ func (l *layout) Len() int           { return len(l.paths) }
 func (l *layout) Less(i, j int) bool { return l.paths[i] < l.paths[j] }
 func (l *layout) Swap(i, j int) {
 	l.paths[i], l.paths[j] = l.paths[j], l.paths[i]
-	l.render[i], l.render[j] = l.render[j], l.render[i]
+	l.global[i], l.global[j] = l.global[j], l.global[i]
+	l.view[i], l.view[j] = l.view[j], l.view[i]
 	l.arg[i], l.arg[j] = l.arg[j], l.arg[i]
 }
 

@@ -124,15 +124,21 @@ func TestMemoizedLayoutMatchesFresh(t *testing.T) {
 				!reflect.DeepEqual(got.text, want.text) {
 				t.Errorf("%+v: memoized layout data differs from a fresh one", key)
 			}
-			if len(got.render) != len(want.render) {
-				t.Fatalf("%+v: %d renders, fresh layout has %d", key, len(got.render), len(want.render))
+			if len(got.global) != len(want.global) || len(got.view) != len(want.view) {
+				t.Fatalf("%+v: %d+%d renders, fresh layout has %d+%d", key,
+					len(got.global), len(got.view), len(want.global), len(want.view))
 			}
-			for i := range got.render {
-				if reflect.ValueOf(got.render[i]).Pointer() != reflect.ValueOf(want.render[i]).Pointer() {
+			ptr := func(f any) uintptr { return reflect.ValueOf(f).Pointer() }
+			for i := range got.global {
+				if ptr(got.global[i]) != ptr(want.global[i]) || ptr(got.view[i]) != ptr(want.view[i]) {
 					t.Errorf("%+v: %s renders through a different function", key, got.paths[i])
 				}
+				if (got.global[i] == nil) == (got.view[i] == nil) {
+					t.Errorf("%+v: %s needs exactly one of a global and a view render", key, got.paths[i])
+				}
 			}
-			if n := len(got.paths); n != len(got.index) || n != len(got.deps) || n != len(got.arg) {
+			if n := len(got.paths); n != len(got.index) || n != len(got.deps) || n != len(got.arg) ||
+				n != len(got.global) || n != len(got.view) {
 				t.Errorf("%+v: layout columns have different lengths", key)
 			}
 		}

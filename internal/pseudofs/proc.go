@@ -7,20 +7,21 @@ import (
 )
 
 // proc lays out the /proc tree of a host with the given core count.
-// Renders flagged "GLOBAL" read kernel-wide state with no namespace check
-// — those are the leakage channels; renders flagged "NAMESPACED" consult
-// the reader's View and model correctly containerized files.
+// Files registered with add have a global render, which takes no View and
+// reads kernel-wide state with no namespace check: those are the leakage
+// channels. Files registered with addView consult the reader's View and
+// model correctly containerized files.
 //
 // Renders append into the caller's buffer (see render and render.go);
 // every formatting helper reproduces the historical fmt verb bit for bit,
 // which the render-property test asserts per registered path.
 func (l *layout) proc(cores int) {
 
-	// --- GLOBAL channels (Table I) -------------------------------------
+	// --- Table I channels ----------------------------------------------
 
 	// /proc/uptime: host uptime and aggregate idle time, regardless of
 	// when the container started.
-	l.add("/proc/uptime", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/uptime", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		up, idle := fs.k.Uptime()
 		b = apFloat(b, up, 2)
 		b = append(b, ' ')
@@ -29,13 +30,13 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/version: host kernel build string.
-	l.add("/proc/version", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/version", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		b = append(b, fs.k.KernelVersion()...)
 		return append(b, '\n'), nil
 	})
 
 	// /proc/loadavg: host-wide run queue.
-	l.add("/proc/loadavg", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/loadavg", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		la := fs.k.LoadAvgSnapshot()
 		b = apFloat(b, la.Load1, 2)
 		b = append(b, ' ')
@@ -52,7 +53,7 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/meminfo: physical host memory, not the cgroup limit.
-	l.add("/proc/meminfo", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/meminfo", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		mi := fs.k.MeminfoSnapshot()
 		row := func(b []byte, name string, kb uint64) []byte {
 			b = append(b, name...)
@@ -75,7 +76,7 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/zoneinfo: physical RAM zone watermarks.
-	l.add("/proc/zoneinfo", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/zoneinfo", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		zrow := func(b []byte, label string, v uint64) []byte {
 			b = append(b, label...)
 			b = apUint(b, v)
@@ -97,7 +98,7 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/stat: kernel activity since boot.
-	l.add("/proc/stat", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/stat", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		s := fs.k.StatSnapshot()
 		var tot [7]float64
 		for _, c := range s.PerCPU {
@@ -151,7 +152,7 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/cpuinfo: physical CPU description.
-	l.add("/proc/cpuinfo", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/cpuinfo", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		for _, c := range fs.k.CPUInfoSnapshot() {
 			b = append(b, "processor\t: "...)
 			b = apInt(b, int64(c.Processor))
@@ -169,7 +170,7 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/interrupts: per-IRQ counters for the whole host.
-	l.add("/proc/interrupts", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/interrupts", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		b = append(b, "           "...)
 		for i := 0; i < fs.k.Options().Cores; i++ {
 			b = apCPULabel(b, 12, i)
@@ -189,7 +190,7 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/softirqs: softirq handler invocation counts.
-	l.add("/proc/softirqs", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/softirqs", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		b = append(b, "           "...)
 		for i := 0; i < fs.k.Options().Cores; i++ {
 			b = apCPULabel(b, 12, i)
@@ -207,7 +208,7 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/schedstat: scheduler statistics per cpu.
-	l.add("/proc/schedstat", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/schedstat", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		b = append(b, "version 15\ntimestamp "...)
 		b = apInt(b, int64(fs.k.Now()*250))
 		b = append(b, '\n')
@@ -227,7 +228,7 @@ func (l *layout) proc(cores int) {
 
 	// /proc/sched_debug: dumps EVERY task on the host with its name — the
 	// paper's favourite signature-implant channel.
-	l.add("/proc/sched_debug", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/sched_debug", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		b = append(b, "Sched Debug Version: v0.11, 4.7.0-repro\nktime : "...)
 		b = apFloat(b, fs.k.Now()*1000, 6)
 		b = append(b, "\n\nrunnable tasks:\n"...)
@@ -253,7 +254,7 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/timer_list: armed timers with their owning task names.
-	l.add("/proc/timer_list", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/timer_list", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		b = append(b, "Timer List Version: v0.8\nHRTIMER_MAX_CLOCK_BASES: 4\nnow at "...)
 		b = apInt(b, int64(fs.k.Now()*1e9))
 		b = append(b, " nsecs\n\n"...)
@@ -274,7 +275,7 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/locks: the global file-lock table.
-	l.add("/proc/locks", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/locks", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		for _, l := range fs.k.FileLocks() {
 			b = apInt(b, int64(l.ID))
 			b = append(b, ": "...)
@@ -293,7 +294,7 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/modules: loaded kernel modules.
-	l.add("/proc/modules", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/modules", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		for _, m := range fs.k.Modules() {
 			b = append(b, m...)
 			b = append(b, " - Live 0x0000000000000000\n"...)
@@ -302,7 +303,7 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/sys/fs/*: VFS object counts.
-	l.add("/proc/sys/fs/dentry-state", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/sys/fs/dentry-state", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		v := fs.k.VFSSnapshot()
 		b = apUint(b, v.Dentries)
 		b = append(b, '\t')
@@ -310,14 +311,14 @@ func (l *layout) proc(cores int) {
 		b = append(b, "\t45\t0\t0\t0\n"...)
 		return b, nil
 	})
-	l.add("/proc/sys/fs/inode-nr", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/sys/fs/inode-nr", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		v := fs.k.VFSSnapshot()
 		b = apUint(b, v.Inodes)
 		b = append(b, '\t')
 		b = apUint(b, v.InodesFree)
 		return append(b, '\n'), nil
 	})
-	l.add("/proc/sys/fs/file-nr", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/sys/fs/file-nr", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		v := fs.k.VFSSnapshot()
 		b = apUint(b, v.FilesOpen)
 		b = append(b, "\t0\t"...)
@@ -326,15 +327,15 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/sys/kernel/random/*.
-	l.add("/proc/sys/kernel/random/boot_id", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/sys/kernel/random/boot_id", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		b = append(b, fs.k.BootID()...)
 		return append(b, '\n'), nil
 	})
-	l.add("/proc/sys/kernel/random/entropy_avail", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/sys/kernel/random/entropy_avail", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		b = apInt(b, int64(fs.k.EntropyAvail()))
 		return append(b, '\n'), nil
 	})
-	l.add("/proc/sys/kernel/random/uuid", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/sys/kernel/random/uuid", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		b = append(b, fs.k.GenUUID()...)
 		return append(b, '\n'), nil
 	})
@@ -342,14 +343,14 @@ func (l *layout) proc(cores int) {
 	// /proc/sys/kernel/sched_domain/cpu#/domain0/max_newidle_lb_cost.
 	for cpu := 0; cpu < cores; cpu++ {
 		l.add(fmt.Sprintf("/proc/sys/kernel/sched_domain/cpu%d/domain0/max_newidle_lb_cost", cpu), int32(cpu),
-			func(fs *FS, cpu int32, b []byte, _ View) ([]byte, error) {
-				b = apUint(b, fs.k.NewidleCost()[cpu])
+			func(fs *FS, cpu int32, b []byte) ([]byte, error) {
+				b = apUint(b, fs.k.NewidleCost(int(cpu)))
 				return append(b, '\n'), nil
 			})
 	}
 
 	// /proc/fs/ext4/sda1/mb_groups: allocator state of the host disk.
-	l.add("/proc/fs/ext4/sda1/mb_groups", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/fs/ext4/sda1/mb_groups", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		b = append(b, "#group: free  frags first [ 2^0   2^1   2^2   2^3   2^4   2^5   2^6 ]\n"...)
 		for i, g := range fs.k.Ext4GroupSnapshot() {
 			b = append(b, '#')
@@ -372,13 +373,13 @@ func (l *layout) proc(cores int) {
 		return b, nil
 	})
 
-	// --- NAMESPACED files (correct behaviour, for contrast) -------------
+	// --- Namespace-aware files (correct behaviour, for contrast) --------
 
 	// /proc/self/cgroup. The CGROUP namespace exists in kernel 4.7 but the
 	// runtimes of the era did not unshare it, so a container sees its full
 	// host-side cgroup path (e.g. /docker/<id>) — different from the
 	// host's root path, and itself a mild identity leak.
-	l.add("/proc/self/cgroup", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
+	l.addView("/proc/self/cgroup", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
 		path := v.CgroupPath
 		for i, ctrl := range [...]string{"perf_event", "net_cls,net_prio", "cpuset", "cpu,cpuacct", "memory"} {
 			b = apInt(b, int64(11-i))
@@ -392,7 +393,7 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/sys/kernel/hostname respects the UTS namespace.
-	l.add("/proc/sys/kernel/hostname", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
+	l.addView("/proc/sys/kernel/hostname", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
 		ns := v.NS
 		if ns == nil {
 			ns = fs.k.InitNS()
@@ -403,7 +404,7 @@ func (l *layout) proc(cores int) {
 
 	// /proc/net/dev respects the NET namespace: containers see their veth
 	// pair only.
-	l.add("/proc/net/dev", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
+	l.addView("/proc/net/dev", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
 		ns := v.NS
 		if ns == nil {
 			ns = fs.k.InitNS()
@@ -427,7 +428,7 @@ func (l *layout) proc(cores int) {
 
 	// /proc/sysvipc/shm respects the IPC namespace — the positive control
 	// showing what a *completed* container adaptation looks like.
-	l.add("/proc/sysvipc/shm", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
+	l.addView("/proc/sysvipc/shm", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
 		ns := v.NS
 		if ns == nil {
 			ns = fs.k.InitNS()
@@ -452,7 +453,7 @@ func (l *layout) proc(cores int) {
 	// per container by construction.
 	// The argument is the kernel.NSType.
 	for typ := kernel.NSType(1); int(typ) < len(nsNames); typ++ {
-		l.add("/proc/self/ns/"+nsNames[typ], int32(typ), func(fs *FS, typ int32, b []byte, v View) ([]byte, error) {
+		l.addView("/proc/self/ns/"+nsNames[typ], int32(typ), func(fs *FS, typ int32, b []byte, v View) ([]byte, error) {
 			ns := v.NS
 			if ns == nil {
 				ns = fs.k.InitNS()
@@ -470,13 +471,13 @@ func (l *layout) proc(cores int) {
 	l.static("/proc/filesystems",
 		"nodev\tsysfs\nnodev\tproc\nnodev\ttmpfs\nnodev\tdevtmpfs\n\text4\n\text3\n")
 
-	// --- GLOBAL channels beyond Table I --------------------------------
+	// --- Channels beyond Table I ---------------------------------------
 	// The paper's study was systematic but a snapshot; these additional
 	// namespace-oblivious files exist in real kernels too, and the
 	// detector discovers them without registry help (leakscan -discover).
 
 	// /proc/vmstat: global VM event counters.
-	l.add("/proc/vmstat", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/vmstat", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		v := fs.k.VMStatSnapshot()
 		b = append(b, "nr_free_pages "...)
 		b = apUint(b, v.FreePages)
@@ -490,7 +491,7 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/diskstats: host block-device IO counters.
-	l.add("/proc/diskstats", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/diskstats", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		d := fs.k.DiskStatSnapshot()
 		b = append(b, "   8       0 sda "...)
 		b = apUint(b, d.SectorsRead/8)
@@ -513,7 +514,7 @@ func (l *layout) proc(cores int) {
 	})
 
 	// /proc/buddyinfo: physical-memory fragmentation per order.
-	l.add("/proc/buddyinfo", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/buddyinfo", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		b = append(b, "Node 0, zone   Normal "...)
 		for _, n := range fs.k.BuddyInfo() {
 			b = apPadUint(b, 7, n)
@@ -523,7 +524,7 @@ func (l *layout) proc(cores int) {
 
 	// /proc/net/softnet_stat: per-CPU packet processing — global despite
 	// living under /proc/net (it is per-CPU, not per-namespace, state).
-	l.add("/proc/net/softnet_stat", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/proc/net/softnet_stat", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		for _, n := range fs.k.SoftnetSnapshot() {
 			b = apHex08(b, n)
 			b = append(b, " 00000000 00000000 00000000 00000000 00000000 00000000 00000000 00000000 00000000\n"...)

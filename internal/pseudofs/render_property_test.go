@@ -229,7 +229,7 @@ func preRenderOracle(fs *FS, hw Hardware) map[string]func(View) (string, error) 
 		cpu := i
 		add(fmt.Sprintf("/proc/sys/kernel/sched_domain/cpu%d/domain0/max_newidle_lb_cost", i),
 			func(View) (string, error) {
-				return fmt.Sprintf("%d\n", k.NewidleCost()[cpu]), nil
+				return fmt.Sprintf("%d\n", k.NewidleCost(cpu)), nil
 			})
 	}
 	add("/proc/fs/ext4/sda1/mb_groups", func(View) (string, error) {

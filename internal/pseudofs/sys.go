@@ -21,7 +21,7 @@ func (l *layout) sys(hw Hardware, cores int) {
 	// container sees every physical interface of the host.
 	// (LookupCgroup, not Cgroup: read handlers must never create table
 	// entries — parallel cross-validation reads these concurrently.)
-	l.add("/sys/fs/cgroup/net_prio/net_prio.ifpriomap", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
+	l.addView("/sys/fs/cgroup/net_prio/net_prio.ifpriomap", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
 		cg, _ := fs.k.LookupCgroup(v.CgroupPath)
 		for _, dev := range fs.k.HostNetDevices() { // BUG preserved: host list
 			prio := 0
@@ -37,7 +37,7 @@ func (l *layout) sys(hw Hardware, cores int) {
 	})
 
 	// cpuacct usage for the reader's cgroup — properly delegated.
-	l.add("/sys/fs/cgroup/cpuacct/cpuacct.usage", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
+	l.addView("/sys/fs/cgroup/cpuacct/cpuacct.usage", 0, func(fs *FS, _ int32, b []byte, v View) ([]byte, error) {
 		var usage int64
 		if cg, ok := fs.k.LookupCgroup(v.CgroupPath); ok {
 			usage = int64(cg.CPUUsageNS)
@@ -48,7 +48,7 @@ func (l *layout) sys(hw Hardware, cores int) {
 
 	// /sys/devices/system/node/node0/{numastat,vmstat,meminfo}: NUMA node
 	// counters are host-global.
-	l.add("/sys/devices/system/node/node0/numastat", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/sys/devices/system/node/node0/numastat", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		n := fs.k.NUMASnapshot()
 		b = append(b, "numa_hit "...)
 		b = apInt(b, int64(n.Hit))
@@ -64,7 +64,7 @@ func (l *layout) sys(hw Hardware, cores int) {
 		b = apInt(b, int64(n.OtherNode))
 		return append(b, '\n'), nil
 	})
-	l.add("/sys/devices/system/node/node0/vmstat", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/sys/devices/system/node/node0/vmstat", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		mi := fs.k.MeminfoSnapshot()
 		n := fs.k.NUMASnapshot()
 		b = append(b, "nr_free_pages "...)
@@ -79,7 +79,7 @@ func (l *layout) sys(hw Hardware, cores int) {
 		b = apInt(b, int64(n.LocalNode))
 		return append(b, '\n'), nil
 	})
-	l.add("/sys/devices/system/node/node0/meminfo", 0, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+	l.add("/sys/devices/system/node/node0/meminfo", 0, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 		mi := fs.k.MeminfoSnapshot()
 		b = append(b, "Node 0 MemTotal:       "...)
 		b = apUint(b, mi.TotalKB)
@@ -101,11 +101,11 @@ func (l *layout) sys(hw Hardware, cores int) {
 			base := fmt.Sprintf("/sys/devices/system/cpu/cpu%d/cpuidle/state%d", cpu, si)
 			arg := int32(cpu<<8 | si)
 			l.static(base+"/name", name+"\n")
-			l.add(base+"/usage", arg, func(fs *FS, arg int32, b []byte, _ View) ([]byte, error) {
+			l.add(base+"/usage", arg, func(fs *FS, arg int32, b []byte) ([]byte, error) {
 				b = apInt(b, int64(fs.k.IdleUsage(int(arg&0xff), int(arg>>8))))
 				return append(b, '\n'), nil
 			})
-			l.add(base+"/time", arg, func(fs *FS, arg int32, b []byte, _ View) ([]byte, error) {
+			l.add(base+"/time", arg, func(fs *FS, arg int32, b []byte) ([]byte, error) {
 				b = apInt(b, int64(fs.k.IdleTimeUS(int(arg&0xff), int(arg>>8))))
 				return append(b, '\n'), nil
 			})
@@ -121,29 +121,29 @@ func (l *layout) sys(hw Hardware, cores int) {
 	for cpu := 0; cpu < cores; cpu++ {
 		base := fmt.Sprintf("/sys/devices/system/cpu/cpu%d/cpufreq", cpu)
 		arg := int32(cpu)
-		l.add(base+"/scaling_cur_freq", arg, func(fs *FS, cpu int32, b []byte, _ View) ([]byte, error) {
+		l.add(base+"/scaling_cur_freq", arg, func(fs *FS, cpu int32, b []byte) ([]byte, error) {
 			b = apUint(b, fs.k.Freq().CurKHz(int(cpu)))
 			return append(b, '\n'), nil
 		})
-		l.add(base+"/stats/total_trans", arg, func(fs *FS, cpu int32, b []byte, _ View) ([]byte, error) {
+		l.add(base+"/stats/total_trans", arg, func(fs *FS, cpu int32, b []byte) ([]byte, error) {
 			b = apUint(b, fs.k.Freq().Transitions(int(cpu)))
 			return append(b, '\n'), nil
 		})
-		l.add(base+"/scaling_governor", arg, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		l.add(base+"/scaling_governor", arg, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 			b = append(b, fs.k.Freq().Name()...)
 			return append(b, '\n'), nil
 		})
-		l.add(base+"/scaling_available_governors", arg, func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		l.add(base+"/scaling_available_governors", arg, func(fs *FS, _ int32, b []byte) ([]byte, error) {
 			b = append(b, "performance powersave "...)
 			b = append(b, fs.k.Freq().Name()...)
 			return append(b, '\n'), nil
 		})
 		l.static(base+"/scaling_driver", "acpi-cpufreq\n")
-		minKHz := func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		minKHz := func(fs *FS, _ int32, b []byte) ([]byte, error) {
 			b = apUint(b, fs.k.Freq().MinKHz())
 			return append(b, '\n'), nil
 		}
-		maxKHz := func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+		maxKHz := func(fs *FS, _ int32, b []byte) ([]byte, error) {
 			b = apUint(b, fs.k.Freq().MaxKHz())
 			return append(b, '\n'), nil
 		}
@@ -158,7 +158,7 @@ func (l *layout) sys(hw Hardware, cores int) {
 	// cores. The argument is the core, -1 for the package.
 	if hw.HasCoretemp {
 		for c := -1; c < cores; c++ {
-			l.add(fmt.Sprintf("/sys/devices/platform/coretemp.0/hwmon/hwmon1/temp%d_input", c+2), int32(c),
+			l.addView(fmt.Sprintf("/sys/devices/platform/coretemp.0/hwmon/hwmon1/temp%d_input", c+2), int32(c),
 				func(fs *FS, core int32, b []byte, v View) ([]byte, error) {
 					t, err := fs.thermal.CoreTempC(v, int(core))
 					if err != nil {
@@ -177,7 +177,7 @@ func (l *layout) sys(hw Hardware, cores int) {
 	if hw.HasRAPL {
 		for i, d := range raplDomains {
 			l.static(d.dir+"/name", d.name+"\n")
-			l.add(d.dir+"/energy_uj", int32(i), func(fs *FS, i int32, b []byte, v View) ([]byte, error) {
+			l.addView(d.dir+"/energy_uj", int32(i), func(fs *FS, i int32, b []byte, v View) ([]byte, error) {
 				uj, err := fs.energy.EnergyUJ(v, raplDomains[i].dom)
 				if err != nil {
 					return b, err
@@ -185,7 +185,7 @@ func (l *layout) sys(hw Hardware, cores int) {
 				b = apUint(b, uj)
 				return append(b, '\n'), nil
 			})
-			l.add(d.dir+"/max_energy_range_uj", int32(i), func(fs *FS, _ int32, b []byte, _ View) ([]byte, error) {
+			l.add(d.dir+"/max_energy_range_uj", int32(i), func(fs *FS, _ int32, b []byte) ([]byte, error) {
 				b = apUint(b, fs.k.Meter().MaxEnergyRangeUJ())
 				return append(b, '\n'), nil
 			})
