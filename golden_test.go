@@ -11,6 +11,9 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/experiments"
+	"repro/internal/kernel"
+	"repro/internal/pseudofs"
+	"repro/internal/workload"
 )
 
 // Golden renderings of the CLI entry points. Each case renders one
@@ -92,7 +95,66 @@ func goldenCases() []goldenCase {
 		{"defensebench-chaossweep", "defensebench-chaossweep", oneWorker, func(w int) (string, error) {
 			return sprintln(experiments.ChaosSweep(ctx, nil, 1, w))
 		}},
+		{"pseudofs-surface", "pseudofs-surface", oneWorker, renderSurface},
 	}
+}
+
+// renderSurface prints every registered /proc and /sys path of one small
+// world, read through a host mount and then a container mount, at two
+// instants: after the world's spawn/lock history and after 13 more
+// irregular ticks. It pins the bytes of the per-CPU accumulator rows
+// (interrupts, softirqs, softnet, cpuidle) that no experiment golden
+// shows, and the uuid RNG stream, which every read of
+// /proc/sys/kernel/random/uuid advances in this fixed order.
+func renderSurface(int) (string, error) {
+	k := kernel.New(kernel.Options{Hostname: "node-prop", Seed: 0x51ea})
+	fs := pseudofs.Build(k, pseudofs.DefaultHardware())
+
+	cg := "/docker/prop-c1"
+	ns := k.NewNSSet("prop-c1", cg)
+	k.Cgroup(cg)
+	k.AddHostNetDev("veth00prop")
+	init := k.Spawn("prop-init", ns, cg, 0, workload.IdleLoop.Rates.Times(0))
+	w := k.Spawn("prop-worker", ns, cg, 1.5, workload.Prime.Rates)
+	w.HasTimer = true
+	host := k.Spawn("host-daemon", k.InitNS(), "/", 0.5, workload.IdleLoop.Rates)
+	host.HasTimer = true
+	k.AddFileLock(init, "WRITE", 7788001)
+	k.AddFileLock(host, "READ", 9900113)
+	for i := 0; i < 7; i++ {
+		k.Tick(float64(i+1)*1.37, 1.37)
+	}
+
+	views := []struct {
+		name string
+		v    pseudofs.View
+	}{
+		{"host", pseudofs.HostView(k)},
+		{"container", pseudofs.View{NS: ns, CgroupPath: cg}},
+	}
+	var b strings.Builder
+	var buf []byte
+	render := func(instant string) {
+		for _, vc := range views {
+			m := pseudofs.NewMount(fs, vc.v, pseudofs.Policy{})
+			for _, path := range fs.Paths() {
+				var err error
+				buf, err = m.AppendRead(buf[:0], path)
+				if err != nil {
+					fmt.Fprintf(&b, "### %s %s %s: error: %v\n", instant, vc.name, path, err)
+					continue
+				}
+				fmt.Fprintf(&b, "### %s %s %s (%d bytes)\n%s\n", instant, vc.name, path, len(buf), buf)
+			}
+		}
+	}
+	render("warm")
+	for i := 0; i < 13; i++ {
+		dt := 0.73 + float64(i%3)*0.31
+		k.Tick(k.Now()+dt, dt)
+	}
+	render("advanced")
+	return b.String(), nil
 }
 
 // renderAblations prints `defensebench -ablations`, block for block.
