@@ -209,217 +209,21 @@ func (r *Rand) float64Retry() float64 {
 	}
 }
 
-// FillFloat64 writes len(dst) consecutive Float64 draws into dst — the
-// same values len(dst) Float64 calls would return, in the same order.
-//
-// The point is register residency: Float64 must commit tap/feed back to
-// the struct after every draw (the compiler cannot keep fields cached
-// across calls whose surroundings store to arbitrary memory), whereas this
-// loop keeps both indices in locals for the whole block. Callers that
-// consume a batch of draws with a fixed accumulation shape should prefer
-// the fused AddScaledJitter/AddScaledJitter2, which skip the scratch
-// buffer entirely; FillFloat64 is the general-purpose block primitive.
-func (r *Rand) FillFloat64(dst []float64) {
-	tap, feed := int(r.tap), int(r.feed)
-	// The generator invariant keeps both indices inside the state vector;
-	// asserting it once up front (it cannot fire on a Rand built by New)
-	// lets the compiler's bounds-check elimination see that every vec
-	// access below is in range instead of checking each of them per draw.
-	if uint(tap) >= rngLen || uint(feed) >= rngLen {
-		panic("fastrand: corrupt generator state")
-	}
-	for i := 0; i < len(dst); {
-		tap--
-		if tap < 0 {
-			tap = rngLen - 1
-		}
-		feed--
-		if feed < 0 {
-			feed = rngLen - 1
-		}
-		x := r.vec[feed] + r.vec[tap]
-		r.vec[feed] = x
-		// Identical to Float64: Int63 scaling with retry-on-1.0. On the
-		// one-in-2^10 f==1 draw, simply not advancing i redraws the slot.
-		f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
-		if f != 1 {
-			dst[i] = f
-			i++
-		}
-	}
-	r.tap, r.feed = int32(tap), int32(feed)
-}
-
-// AddScaledJitter draws len(dst) consecutive Float64 values f and performs
-//
-//	dst[i] += scale * (1 + (f*2-1)*amp)
-//
-// consuming exactly the same stream positions as len(dst) Float64 calls.
-// This is the simulation kernel's per-CPU jitter fan-out (the expression is
-// kernel.jitter's body verbatim, with the row's common factor hoisted as
-// scale); fusing the draw with the accumulate keeps the generator state in
-// registers AND skips the scratch-buffer round trip a Fill-then-consume
-// pair would cost — at ~600 fused draws per 24-core server tick the memory
-// traffic is the difference that shows up in Fig. 3 sweeps.
-func (r *Rand) AddScaledJitter(dst []float64, scale, amp float64) {
-	tap, feed := int(r.tap), int(r.feed)
-	if uint(tap) >= rngLen || uint(feed) >= rngLen {
-		panic("fastrand: corrupt generator state")
-	}
-	// Chunked draw loop: between wraps both indices only decrement, so a
-	// run of min(tap, feed) draws needs no wrap branches at all. The outer
-	// loop handles the (rare) wrap step and any slots a retry left
-	// unfilled; the inner loop is pure decrement/load/FMA traffic.
-	i := 0
-	for i < len(dst) {
-		n := tap
-		if feed < n {
-			n = feed
-		}
-		if rem := len(dst) - i; n > rem {
-			n = rem
-		}
-		if n <= 0 {
-			// One draw with full wrap handling (an index at 0 wraps to
-			// rngLen-1 because the decrement happens before use).
-			tap--
-			if tap < 0 {
-				tap = rngLen - 1
-			}
-			feed--
-			if feed < 0 {
-				feed = rngLen - 1
-			}
-			x := r.vec[feed] + r.vec[tap]
-			r.vec[feed] = x
-			// Identical to Float64: Int63 scaling with retry-on-1.0; a
-			// rejected draw simply doesn't advance i.
-			f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
-			if f != 1 {
-				dst[i] += scale * (1 + (f*2-1)*amp)
-				i++
-			}
-			continue
-		}
-		// Reslicing the two lag windows to exactly n elements lets the
-		// compiler drop the per-draw vec bounds checks: m runs [0,n) over
-		// slices of length n. The windows alias the same backing array at
-		// the generator's tap distance, so writes at higher m are read back
-		// at lower m exactly as the in-place form did.
-		vt := r.vec[tap-n : tap][:n]
-		vf := r.vec[feed-n : feed][:n]
-		for m := n - 1; m >= 0; m-- {
-			x := vf[m] + vt[m]
-			vf[m] = x
-			f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
-			if f != 1 {
-				dst[i] += scale * (1 + (f*2-1)*amp)
-				i++
-			}
-		}
-		tap -= n
-		feed -= n
-	}
-	r.tap, r.feed = int32(tap), int32(feed)
-}
-
-// AddScaledJitter2 is the paired-stream variant of AddScaledJitter: for
-// each index i it draws two consecutive Float64 values f1, f2 and performs
-//
-//	a[i] += scaleA * (1 + (f1*2-1)*amp)
-//	b[i] += scaleB * (1 + (f2*2-1)*amp)
-//
-// consuming exactly the stream of 2·len(a) Float64 calls in a-then-b
-// order. It panics if len(a) != len(b). The kernel's cpuidle residency
-// update (usage entry count and time-in-state per CPU, two draws per CPU)
-// is the intended caller.
-func (r *Rand) AddScaledJitter2(a, b []float64, scaleA, scaleB, amp float64) {
-	if len(a) != len(b) {
-		panic("fastrand: AddScaledJitter2 slice length mismatch")
-	}
-	tap, feed := int(r.tap), int(r.feed)
-	if uint(tap) >= rngLen || uint(feed) >= rngLen {
-		panic("fastrand: corrupt generator state")
-	}
-	// Chunked like AddScaledJitter, with a two-phase accumulator: phase 0
-	// holds the pending usage draw (f1) until phase 1 completes the pair
-	// and commits both accumulates in a-then-b order. The chunk budget n
-	// counts DRAWS (not pairs), so a mid-chunk retry can never overrun the
-	// wrap-free run.
-	i := 0
-	phase := 0
-	var f1 float64
-	for i < len(a) {
-		n := tap
-		if feed < n {
-			n = feed
-		}
-		if rem := 2*(len(a)-i) - phase; n > rem {
-			n = rem
-		}
-		if n <= 0 {
-			tap--
-			if tap < 0 {
-				tap = rngLen - 1
-			}
-			feed--
-			if feed < 0 {
-				feed = rngLen - 1
-			}
-			x := r.vec[feed] + r.vec[tap]
-			r.vec[feed] = x
-			f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
-			if f == 1 {
-				continue // retry: redraw the same phase
-			}
-			if phase == 0 {
-				f1, phase = f, 1
-			} else {
-				a[i] += scaleA * (1 + (f1*2-1)*amp)
-				b[i] += scaleB * (1 + (f*2-1)*amp)
-				i++
-				phase = 0
-			}
-			continue
-		}
-		// Resliced lag windows as in AddScaledJitter: bounds-check-free
-		// draws, aliasing preserved through the shared backing array.
-		vt := r.vec[tap-n : tap][:n]
-		vf := r.vec[feed-n : feed][:n]
-		for m := n - 1; m >= 0; m-- {
-			x := vf[m] + vt[m]
-			vf[m] = x
-			f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
-			if f == 1 {
-				continue
-			}
-			if phase == 0 {
-				f1, phase = f, 1
-			} else {
-				a[i] += scaleA * (1 + (f1*2-1)*amp)
-				b[i] += scaleB * (1 + (f*2-1)*amp)
-				i++
-				phase = 0
-			}
-		}
-		tap -= n
-		feed -= n
-	}
-	r.tap, r.feed = int32(tap), int32(feed)
-}
-
-// AddScaledJitterRows is the row-batched form of AddScaledJitter over a
-// struct-of-arrays block: dst holds len(scales) consecutive rows of cols
-// elements each (len(dst) == cols*len(scales)), and row r receives
+// AddScaledJitterRows draws cols*len(scales) consecutive Float64 values f
+// into a struct-of-arrays block: dst holds len(scales) consecutive rows of
+// cols elements each (len(dst) == cols*len(scales)), and row r receives
 //
 //	dst[r*cols+c] += scales[r] * (1 + (f*2-1)*amp)
 //
-// with draws consumed in row-major order — exactly the stream of
-// len(scales) sequential AddScaledJitter calls, one per row. Fusing the
-// rows into one call keeps tap/feed in registers across the whole block
-// (a per-row call must commit them to memory between rows) and turns the
-// kernel tick's widest fan-out — 17 interrupt/softirq rows per server —
-// into a single pass over one contiguous backing array.
+// with draws consumed in row-major order — exactly the stream positions of
+// len(dst) Float64 calls. This is the simulation kernel's per-CPU jitter
+// fan-out (the expression is kernel.jitter's body verbatim, with the row's
+// common factor hoisted as the scale). Fusing the draw with the accumulate
+// keeps tap/feed in registers across the whole block (Float64 must commit
+// them to memory after every draw) and skips the scratch-buffer round trip
+// a fill-then-consume pair would cost; it turns the kernel tick's widest
+// fan-out — 17 interrupt/softirq rows per server — into a single pass over
+// one contiguous backing array.
 func (r *Rand) AddScaledJitterRows(dst []float64, cols int, scales []float64, amp float64) {
 	if len(dst) != cols*len(scales) {
 		panic("fastrand: AddScaledJitterRows rows/cols mismatch")
@@ -428,6 +232,10 @@ func (r *Rand) AddScaledJitterRows(dst []float64, cols int, scales []float64, am
 	if uint(tap) >= rngLen || uint(feed) >= rngLen {
 		panic("fastrand: corrupt generator state")
 	}
+	// Chunked draw loop: between wraps both indices only decrement, so a
+	// run of min(tap, feed) draws needs no wrap branches at all. The loop
+	// handles the (rare) wrap step one draw at a time; the chunk loop is
+	// pure decrement/load/FMA traffic.
 	i := 0
 	for row := 0; row < len(scales); row++ {
 		scale := scales[row]
@@ -441,6 +249,8 @@ func (r *Rand) AddScaledJitterRows(dst []float64, cols int, scales []float64, am
 				n = rem
 			}
 			if n <= 0 {
+				// One draw with full wrap handling (an index at 0 wraps to
+				// rngLen-1 because the decrement happens before use).
 				tap--
 				if tap < 0 {
 					tap = rngLen - 1
@@ -451,6 +261,8 @@ func (r *Rand) AddScaledJitterRows(dst []float64, cols int, scales []float64, am
 				}
 				x := r.vec[feed] + r.vec[tap]
 				r.vec[feed] = x
+				// Identical to Float64: Int63 scaling with retry-on-1.0; a
+				// rejected draw simply doesn't advance i.
 				f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
 				if f != 1 {
 					dst[i] += scale * (1 + (f*2-1)*amp)
@@ -458,8 +270,11 @@ func (r *Rand) AddScaledJitterRows(dst []float64, cols int, scales []float64, am
 				}
 				continue
 			}
-			// Resliced lag windows as in AddScaledJitter: bounds-check-free
-			// draws, aliasing preserved through the shared backing array.
+			// Reslicing the two lag windows to exactly n elements lets the
+			// compiler drop the per-draw vec bounds checks: m runs [0,n)
+			// over slices of length n. The windows alias the same backing
+			// array at the generator's tap distance, so writes at higher m
+			// are read back at lower m, as the lagged recurrence requires.
 			// The destination window is pre-sliced to n too, and the loop
 			// runs optimistically: with no retry, draw n-1-j lands in d[j],
 			// a pure induction-variable pairing the compiler proves in
@@ -496,17 +311,17 @@ func (r *Rand) AddScaledJitterRows(dst []float64, cols int, scales []float64, am
 	r.tap, r.feed = int32(tap), int32(feed)
 }
 
-// AddScaledJitter2Rows is the row-batched form of AddScaledJitter2: ab
-// holds len(scaleA) row *pairs* — for pair p, an "a" row at ab[(2p)*cols:]
-// and a "b" row at ab[(2p+1)*cols:] — and each column of each pair draws
-// two consecutive values f1, f2:
+// AddScaledJitter2Rows is the paired-stream variant of
+// AddScaledJitterRows: ab holds len(scaleA) row *pairs* — for pair p, an
+// "a" row at ab[(2p)*cols:] and a "b" row at ab[(2p+1)*cols:] — and each
+// column of each pair draws two consecutive values f1, f2:
 //
 //	a[c] += scaleA[p] * (1 + (f1*2-1)*amp)
 //	b[c] += scaleB[p] * (1 + (f2*2-1)*amp)
 //
-// consuming exactly the stream of len(scaleA) sequential AddScaledJitter2
-// calls. The kernel's cpuidle update (4 C-states × usage/time rows) is the
-// intended caller.
+// consuming exactly the stream of len(ab) Float64 calls, pair by pair and
+// a-then-b per column. The kernel's cpuidle update (4 C-states ×
+// usage/time rows) is the intended caller.
 func (r *Rand) AddScaledJitter2Rows(ab []float64, cols int, scaleA, scaleB []float64, amp float64) {
 	if len(scaleA) != len(scaleB) {
 		panic("fastrand: AddScaledJitter2Rows scale length mismatch")
@@ -522,6 +337,10 @@ func (r *Rand) AddScaledJitter2Rows(ab []float64, cols int, scaleA, scaleB []flo
 		a := ab[2*p*cols : (2*p+1)*cols]
 		b := ab[(2*p+1)*cols : (2*p+2)*cols]
 		sa, sb := scaleA[p], scaleB[p]
+		// Two-phase accumulator: phase 0 holds the pending "a" draw (f1)
+		// until phase 1 completes the pair and commits both accumulates in
+		// a-then-b order. The chunk budget n counts DRAWS (not pairs), so a
+		// mid-chunk retry can never overrun the wrap-free run.
 		i := 0
 		phase := 0
 		var f1 float64
@@ -558,7 +377,7 @@ func (r *Rand) AddScaledJitter2Rows(ab []float64, cols int, scaleA, scaleB []flo
 				}
 				continue
 			}
-			// Resliced lag windows as in AddScaledJitter: bounds-check-free
+			// Resliced lag windows as in AddScaledJitterRows: bounds-check-free
 			// draws, aliasing preserved through the shared backing array.
 			vt := r.vec[tap-n : tap][:n]
 			vf := r.vec[feed-n : feed][:n]
@@ -646,20 +465,6 @@ func (r *Rand) Intn(n int) int {
 		return int(r.Int31n(int32(n)))
 	}
 	return int(r.Int63n(int64(n)))
-}
-
-// Perm returns, as a slice of n ints, a pseudo-random permutation of
-// the integers in the half-open interval [0,n).
-func (r *Rand) Perm(n int) []int {
-	m := make([]int, n)
-	// Matches math/rand.(*Rand).Perm: in-loop Fisher-Yates with
-	// Intn(i+1) draws starting at i=0.
-	for i := 0; i < n; i++ {
-		j := r.Intn(i + 1)
-		m[i] = m[j]
-		m[j] = i
-	}
-	return m
 }
 
 // Read generates len(p) random bytes and writes them into p. It always

@@ -43,15 +43,6 @@ type Options struct {
 	// t=0; together with BootWallClock it sets the host's starting uptime.
 	WallClockNow int64
 	Power        power.Config
-
-	// ReferenceLayout selects the pre-SoA tick layout: every per-CPU
-	// accumulator row (irq, softirq, softnet, cpuidle) gets its own
-	// standalone slice and the tick drives them through per-row fused
-	// calls instead of the row-batched struct-of-arrays kernels. The two
-	// layouts are contracted to produce identical bytes; the property
-	// suite ticks both side by side and compares every rendered path.
-	// Production code never sets this.
-	ReferenceLayout bool
 }
 
 func (o *Options) fillDefaults() {
@@ -159,7 +150,7 @@ type Kernel struct {
 	newidleCost  []uint64
 
 	// Interrupt accounting. The PerCPU slices of every IRQ and SoftIRQ are
-	// views into jitterRows (see below) unless ReferenceLayout is set.
+	// views into jitterRows (see below).
 	irqs     []*IRQ
 	softirqs []*SoftIRQ
 
@@ -170,7 +161,7 @@ type Kernel struct {
 	// state. The AoS structs (IRQ.PerCPU, SoftIRQ.PerCPU, IdleState.*,
 	// softnetPackets) are subslice views over these arrays, so renderers
 	// are layout-oblivious while the tick updates — and Snapshot copies —
-	// whole blocks at once. Empty under ReferenceLayout.
+	// whole blocks at once.
 	jitterRows []float64
 	idleRows   []float64
 
@@ -346,8 +337,8 @@ func New(opts Options) *Kernel {
 		{Name: "CAL", Desc: "Function call interrupts", ratePerSec: func(k *Kernel) float64 { return 10 + 100*k.lastBusy/float64(k.opts.Cores) }},
 		{Name: "TLB", Desc: "TLB shootdowns", ratePerSec: func(k *Kernel) float64 { return 5 + 200*k.lastBusy/float64(k.opts.Cores) }},
 	}
-	// (PerCPU rows are bound to the SoA backing — or standalone slices
-	// under ReferenceLayout — after the softirq table below.)
+	// (PerCPU rows are bound to the SoA backing after the softirq table
+	// below.)
 	k.softirqs = []*SoftIRQ{
 		{Name: "HI", ratePerSec: func(*Kernel) float64 { return 1 }},
 		{Name: "TIMER", ratePerSec: func(*Kernel) float64 { return 250 }},
@@ -363,43 +354,28 @@ func New(opts Options) *Kernel {
 	for i, name := range IdleStateNames {
 		k.idleStates[i].Name = name
 	}
-	if opts.ReferenceLayout {
-		// Pre-SoA reference: every row its own allocation.
-		for _, irq := range k.irqs {
-			irq.PerCPU = make([]float64, opts.Cores)
-		}
-		for _, s := range k.softirqs {
-			s.PerCPU = make([]float64, opts.Cores)
-		}
-		for i := range k.idleStates {
-			k.idleStates[i].UsagePerCPU = make([]float64, opts.Cores)
-			k.idleStates[i].TimeUSPerCPU = make([]float64, opts.Cores)
-		}
-		k.softnetPackets = make([]float64, opts.Cores)
-	} else {
-		// Struct-of-arrays backing: irq rows, then softirq rows, then the
-		// softnet row, in one contiguous block; cpuidle usage/time pairs in
-		// a second. The AoS structs alias subslices of these blocks.
-		cores := opts.Cores
-		jrows := len(k.irqs) + len(k.softirqs)
-		k.jitterRows = make([]float64, (jrows+1)*cores)
-		row := func(r int) []float64 { return k.jitterRows[r*cores : (r+1)*cores : (r+1)*cores] }
-		for i, irq := range k.irqs {
-			irq.PerCPU = row(i)
-		}
-		for i, s := range k.softirqs {
-			s.PerCPU = row(len(k.irqs) + i)
-		}
-		k.softnetPackets = row(jrows)
-		k.idleRows = make([]float64, 2*len(k.idleStates)*cores)
-		for i := range k.idleStates {
-			k.idleStates[i].UsagePerCPU = k.idleRows[(2*i)*cores : (2*i+1)*cores : (2*i+1)*cores]
-			k.idleStates[i].TimeUSPerCPU = k.idleRows[(2*i+1)*cores : (2*i+2)*cores : (2*i+2)*cores]
-		}
-		k.rowScales = make([]float64, jrows)
-		k.idleScaleA = make([]float64, len(k.idleStates))
-		k.idleScaleB = make([]float64, len(k.idleStates))
+	// Struct-of-arrays backing: irq rows, then softirq rows, then the
+	// softnet row, in one contiguous block; cpuidle usage/time pairs in a
+	// second. The AoS structs alias subslices of these blocks.
+	cores := opts.Cores
+	jrows := len(k.irqs) + len(k.softirqs)
+	k.jitterRows = make([]float64, (jrows+1)*cores)
+	row := func(r int) []float64 { return k.jitterRows[r*cores : (r+1)*cores : (r+1)*cores] }
+	for i, irq := range k.irqs {
+		irq.PerCPU = row(i)
 	}
+	for i, s := range k.softirqs {
+		s.PerCPU = row(len(k.irqs) + i)
+	}
+	k.softnetPackets = row(jrows)
+	k.idleRows = make([]float64, 2*len(k.idleStates)*cores)
+	for i := range k.idleStates {
+		k.idleStates[i].UsagePerCPU = k.idleRows[(2*i)*cores : (2*i+1)*cores : (2*i+1)*cores]
+		k.idleStates[i].TimeUSPerCPU = k.idleRows[(2*i+1)*cores : (2*i+2)*cores : (2*i+2)*cores]
+	}
+	k.rowScales = make([]float64, jrows)
+	k.idleScaleA = make([]float64, len(k.idleStates))
+	k.idleScaleB = make([]float64, len(k.idleStates))
 	k.ext4Groups = make([]Ext4Group, 16)
 	for i := range k.ext4Groups {
 		k.ext4Groups[i] = Ext4Group{
@@ -616,33 +592,17 @@ func (k *Kernel) Tick(now, dt float64) {
 	// transformations keep this section — the widest jitter fan-out of the
 	// tick — cheap: the per-CPU share is hoisted out of the inner loops
 	// (total/cores is the leading factor of the original left-associated
-	// expression), and each row's draw+accumulate is fused into a single
-	// fastrand pass (AddScaledJitter applies jitter's expression verbatim
-	// while keeping the generator state in registers, with no scratch
-	// buffer in between).
-	if k.jitterRows != nil {
-		// SoA fast path: the 17 irq+softirq rows are consecutive in
-		// jitterRows, so one row-batched call covers the whole fan-out with
-		// the generator state in registers throughout. Draw order is
-		// row-major — identical to the per-row calls of the reference
-		// layout.
-		for i, irq := range k.irqs {
-			k.rowScales[i] = irq.ratePerSec(k) * dt / cores
-		}
-		for i, s := range k.softirqs {
-			k.rowScales[len(k.irqs)+i] = s.ratePerSec(k) * dt / cores
-		}
-		k.rng.AddScaledJitterRows(k.jitterRows[:len(k.rowScales)*k.opts.Cores], k.opts.Cores, k.rowScales, 0.1)
-	} else {
-		for _, irq := range k.irqs {
-			share := irq.ratePerSec(k) * dt / cores
-			k.rng.AddScaledJitter(irq.PerCPU, share, 0.1)
-		}
-		for _, s := range k.softirqs {
-			share := s.ratePerSec(k) * dt / cores
-			k.rng.AddScaledJitter(s.PerCPU, share, 0.1)
-		}
+	// expression), and the draw+accumulate of all 17 irq+softirq rows,
+	// consecutive in jitterRows, is fused into one fastrand pass
+	// (AddScaledJitterRows applies jitter's expression verbatim, row-major,
+	// with the generator state in registers and no scratch buffer).
+	for i, irq := range k.irqs {
+		k.rowScales[i] = irq.ratePerSec(k) * dt / cores
 	}
+	for i, s := range k.softirqs {
+		k.rowScales[len(k.irqs)+i] = s.ratePerSec(k) * dt / cores
+	}
+	k.rng.AddScaledJitterRows(k.jitterRows[:len(k.rowScales)*k.opts.Cores], k.opts.Cores, k.rowScales, 0.1)
 	k.ctxtSwitches += (300 + 900*busy) * dt
 
 	// 6. Load averages: exponentially-damped toward the runnable count,
@@ -661,30 +621,17 @@ func (k *Kernel) Tick(now, dt float64) {
 
 	// 7. cpuidle residency. The per-CPU bases are the leading factors of
 	// the original left-associated expressions, hoisted out of the inner
-	// loop (bit-identical; saves multiplies and a division per CPU).
+	// loop (bit-identical; saves multiplies and a division per CPU). All
+	// four usage/time row pairs go through one fused call: draws in state
+	// order, usage then time per CPU (see section 5).
 	idleFrac := idleCores / cores
-	if k.idleRows != nil {
-		// SoA fast path: all four usage/time row pairs in one call, draws
-		// in state order with usage-then-time pairing per CPU — the exact
-		// stream of the four reference AddScaledJitter2 calls.
-		for i := range k.idleStates {
-			// Deeper states get the longer residencies; POLL gets almost none.
-			weight := idleWeights[i]
-			k.idleScaleA[i] = idleFrac * weight * 80 * dt
-			k.idleScaleB[i] = idleFrac * weight * dt * 1e6 / cores
-		}
-		k.rng.AddScaledJitter2Rows(k.idleRows, k.opts.Cores, k.idleScaleA, k.idleScaleB, 0.05)
-	} else {
-		for i := range k.idleStates {
-			st := &k.idleStates[i]
-			weight := idleWeights[i]
-			usage := idleFrac * weight * 80 * dt
-			timeUS := idleFrac * weight * dt * 1e6 / cores
-			// Two draws per CPU, in the original usage-then-time order,
-			// fused with the accumulate (see section 5).
-			k.rng.AddScaledJitter2(st.UsagePerCPU, st.TimeUSPerCPU, usage, timeUS, 0.05)
-		}
+	for i := range k.idleStates {
+		// Deeper states get the longer residencies; POLL gets almost none.
+		weight := idleWeights[i]
+		k.idleScaleA[i] = idleFrac * weight * 80 * dt
+		k.idleScaleB[i] = idleFrac * weight * dt * 1e6 / cores
 	}
+	k.rng.AddScaledJitter2Rows(k.idleRows, k.opts.Cores, k.idleScaleA, k.idleScaleB, 0.05)
 
 	// 8. Memory & VFS drift.
 	k.cachedKB += (20*busy + 5) * dt * k.jitter(0.3)
@@ -720,7 +667,7 @@ func (k *Kernel) Tick(now, dt float64) {
 	k.sectorsRead += (40 + 1500*busy) * dt * k.jitter(0.4)
 	k.sectorsWritten += (80 + 2500*busy) * dt * k.jitter(0.4)
 	softnet := (25 + 700*busy/cores) * dt
-	k.rng.AddScaledJitter(k.softnetPackets, softnet, 0.2)
+	k.rng.AddScaledJitterRows(k.softnetPackets, k.opts.Cores, []float64{softnet}, 0.2)
 
 	// 9. Entropy pool random walk between depletion and refill.
 	k.entropyAvail += (k.rng.Float64()*2 - 1) * 120 * dt

@@ -66,11 +66,9 @@ type Snapshot struct {
 	lastBusy     float64
 	newidleCost  []uint64
 
-	// SoA backing blocks (nil under ReferenceLayout, where the per-row
-	// slices below carry the state instead).
+	// SoA backing blocks: every per-CPU accumulator row.
 	jitterRows []float64
 	idleRows   []float64
-	refRows    [][]float64
 
 	memBaseUsedKB uint64
 	cachedKB      float64
@@ -162,6 +160,9 @@ func (k *Kernel) Snapshot() *Snapshot {
 		lastBusy:     k.lastBusy,
 		newidleCost:  append([]uint64(nil), k.newidleCost...),
 
+		jitterRows: append([]float64(nil), k.jitterRows...),
+		idleRows:   append([]float64(nil), k.idleRows...),
+
 		memBaseUsedKB: k.memBaseUsedKB,
 		cachedKB:      k.cachedKB,
 		numa:          k.numa,
@@ -190,25 +191,6 @@ func (k *Kernel) Snapshot() *Snapshot {
 		decayA1:  k.decayA1,
 		decayA5:  k.decayA5,
 		decayA15: k.decayA15,
-	}
-
-	// Per-CPU accumulator rows: two block copies under the SoA layout, one
-	// copy per standalone row under ReferenceLayout.
-	if k.jitterRows != nil {
-		s.jitterRows = append([]float64(nil), k.jitterRows...)
-		s.idleRows = append([]float64(nil), k.idleRows...)
-	} else {
-		for _, irq := range k.irqs {
-			s.refRows = append(s.refRows, append([]float64(nil), irq.PerCPU...))
-		}
-		for _, sq := range k.softirqs {
-			s.refRows = append(s.refRows, append([]float64(nil), sq.PerCPU...))
-		}
-		s.refRows = append(s.refRows, append([]float64(nil), k.softnetPackets...))
-		for i := range k.idleStates {
-			s.refRows = append(s.refRows, append([]float64(nil), k.idleStates[i].UsagePerCPU...))
-			s.refRows = append(s.refRows, append([]float64(nil), k.idleStates[i].TimeUSPerCPU...))
-		}
 	}
 
 	// Namespace sets: pointer identity plus per-set mutable state.
@@ -295,27 +277,8 @@ func (k *Kernel) Restore(s *Snapshot) {
 	k.lastBusy = s.lastBusy
 	copy(k.newidleCost, s.newidleCost)
 
-	if k.jitterRows != nil {
-		copy(k.jitterRows, s.jitterRows)
-		copy(k.idleRows, s.idleRows)
-	} else {
-		r := 0
-		for _, irq := range k.irqs {
-			copy(irq.PerCPU, s.refRows[r])
-			r++
-		}
-		for _, sq := range k.softirqs {
-			copy(sq.PerCPU, s.refRows[r])
-			r++
-		}
-		copy(k.softnetPackets, s.refRows[r])
-		r++
-		for i := range k.idleStates {
-			copy(k.idleStates[i].UsagePerCPU, s.refRows[r])
-			copy(k.idleStates[i].TimeUSPerCPU, s.refRows[r+1])
-			r += 2
-		}
-	}
+	copy(k.jitterRows, s.jitterRows)
+	copy(k.idleRows, s.idleRows)
 
 	k.memBaseUsedKB = s.memBaseUsedKB
 	k.cachedKB = s.cachedKB
