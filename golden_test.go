@@ -81,10 +81,19 @@ func goldenCases() []goldenCase {
 		{"leakscan-fleet-16", "leakscan-fleet-16", bothWorkers, func(w int) (string, error) {
 			return sprintln(experiments.FleetScan(ctx, cliSpec, 0, 16, w))
 		}},
+		{"leakscan-table2", "leakscan-table2", oneWorker, func(int) (string, error) {
+			return sprintln(experiments.Table2())
+		}},
+		{"powersim-fig2-1day", "powersim-fig2-1day", oneWorker, func(int) (string, error) {
+			return sprint(experiments.Fig2(1), nil)
+		}},
 		{"powersim-fig3", "powersim-fig3", oneWorker, fig3(0)},
 		{"powersim-fig3-chaos", "powersim-fig3-chaos", oneWorker, fig3(0.02)},
 		{"powersim-fig3sweep-3", "powersim-fig3sweep-3", oneWorker, func(w int) (string, error) {
 			return sprint(experiments.Fig3Sweep(ctx, 3, w))
+		}},
+		{"powersim-fig4", "powersim-fig4", oneWorker, func(int) (string, error) {
+			return sprint(experiments.Fig4())
 		}},
 		{"defensebench-fig8", "defensebench-fig8", bothWorkers, fig8(0)},
 		{"defensebench-fig8-chaos", "defensebench-fig8-chaos", bothWorkers, fig8(0.02)},

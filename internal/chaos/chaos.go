@@ -133,7 +133,7 @@ func Split(seed int64, kind, name string) int64 {
 
 // pathState is the per-path fault stream: its RNG plus latched state.
 type pathState struct {
-	rng      *fastrand.Rand
+	rng      fastrand.Rand
 	sticky   bool   // latched EIO
 	flapLeft int    // remaining denied reads in the current flap episode
 	last     string // previous full render, for stale reads
@@ -157,7 +157,7 @@ func NewInjector(cfg Config) *Injector {
 func (in *Injector) state(path string) *pathState {
 	st, ok := in.paths[path]
 	if !ok {
-		st = &pathState{rng: fastrand.New(Split(in.cfg.Seed, "fs", path))}
+		st = &pathState{rng: *fastrand.New(Split(in.cfg.Seed, "fs", path))}
 		in.paths[path] = st
 	}
 	return st
@@ -232,7 +232,7 @@ func (st *pathState) clean(read func() (string, error)) (string, error) {
 // counterState is one counter key's fault stream: its RNG plus the base
 // the (virtual) counter restarted from at its most recent injected reset.
 type counterState struct {
-	rng  *fastrand.Rand
+	rng  fastrand.Rand
 	base uint64
 }
 
@@ -262,7 +262,7 @@ func (c *Counters) Observe(key string, raw, maxRange uint64) uint64 {
 	defer c.mu.Unlock()
 	st, ok := c.keys[key]
 	if !ok {
-		st = &counterState{rng: fastrand.New(Split(c.cfg.Seed, "ctr", key))}
+		st = &counterState{rng: *fastrand.New(Split(c.cfg.Seed, "ctr", key))}
 		c.keys[key] = st
 	}
 	if st.rng.Float64() < c.cfg.ResetRate {
@@ -306,7 +306,7 @@ func (e *Energy) EnergyUJ(v pseudofs.View, d power.Domain) (uint64, error) {
 
 // dtsState is one core sensor's fault stream.
 type dtsState struct {
-	rng  *fastrand.Rand
+	rng  fastrand.Rand
 	last float64
 	have bool
 }
@@ -339,7 +339,7 @@ func (t *Thermal) CoreTempC(v pseudofs.View, core int) (float64, error) {
 	st, ok := t.cores[core]
 	if !ok {
 		seed := Split(t.cfg.Seed, "dts", fmt.Sprintf("%s/%d", t.salt, core))
-		st = &dtsState{rng: fastrand.New(seed)}
+		st = &dtsState{rng: *fastrand.New(seed)}
 		t.cores[core] = st
 	}
 	if st.have && st.rng.Float64() < t.cfg.ResetRate {

@@ -1,160 +1,61 @@
 package chaos
 
 import (
-	"repro/internal/fastrand"
+	"sync"
+
 	"repro/internal/pseudofs"
+	"repro/internal/snapshot"
 )
 
-// Snapshot/Restore support for the world snapshot machinery
-// (kernel.Snapshot / cloud.Datacenter.Snapshot): fault streams are part of
-// world state, so a restored world must replay the exact same faults a
-// freshly built one would see. Each per-path / per-key / per-core stream
-// captures its RNG position plus latched state. Streams born *after* a
-// snapshot are dropped on restore; they are lazily recreated with identical
-// seeds on first use, because every stream seed derives from
-// Split(seed, kind, name) alone — never from creation order.
-
-// pathSnap is the captured state of one path's fault stream.
-type pathSnap struct {
-	rng      fastrand.State
-	sticky   bool
-	flapLeft int
-	last     string
-	haveLast bool
+// State is a capture of the chaos layer Install armed on one FS: the
+// table of fault streams of each wrapper, each stream a plain value (RNG
+// position plus latched state), so a restored world replays the faults a
+// fresh one would see. Streams born after the capture are dropped; they
+// are recreated with identical seeds on first use, since every seed comes
+// from Split(seed, kind, name) alone.
+type State struct {
+	paths snapshot.Table[string, pathState]
+	keys  snapshot.Table[string, counterState]
+	cores snapshot.Table[int, dtsState]
 }
 
-// InjectorState is a point-in-time capture of an Injector.
-type InjectorState struct {
-	paths map[string]pathSnap
-}
-
-// Snapshot captures every live path stream.
-func (in *Injector) Snapshot() *InjectorState {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	s := &InjectorState{paths: make(map[string]pathSnap, len(in.paths))}
-	for p, st := range in.paths {
-		s.paths[p] = pathSnap{
-			rng: st.rng.Save(), sticky: st.sticky, flapLeft: st.flapLeft,
-			last: st.last, haveLast: st.haveLast,
-		}
+// Snapshot captures the stream tables of the chaos wrappers armed on fs.
+func Snapshot(fs *pseudofs.FS) *State {
+	s := &State{}
+	if in, ok := fs.Injector().(*Injector); ok {
+		s.paths = capture(&in.mu, in.paths)
+	}
+	if e, ok := fs.EnergyProvider().(*Energy); ok {
+		s.keys = capture(&e.ctr.mu, e.ctr.keys)
+	}
+	if t, ok := fs.ThermalProvider().(*Thermal); ok {
+		s.cores = capture(&t.mu, t.cores)
 	}
 	return s
 }
 
-// Restore rewinds the injector to the captured state.
-func (in *Injector) Restore(s *InjectorState) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for p := range in.paths {
-		if _, ok := s.paths[p]; !ok {
-			delete(in.paths, p)
-		}
+// Restore rewinds the chaos wrappers armed on fs to the capture. fs must
+// be restored first, so that it holds the wrappers it held at the capture.
+func Restore(fs *pseudofs.FS, s *State) {
+	if in, ok := fs.Injector().(*Injector); ok {
+		restore(&in.mu, &in.paths, s.paths)
 	}
-	for p, snap := range s.paths {
-		st, ok := in.paths[p]
-		if !ok {
-			st = &pathState{rng: fastrand.New(0)}
-			in.paths[p] = st
-		}
-		st.rng.Restore(snap.rng)
-		st.sticky, st.flapLeft = snap.sticky, snap.flapLeft
-		st.last, st.haveLast = snap.last, snap.haveLast
+	if e, ok := fs.EnergyProvider().(*Energy); ok {
+		restore(&e.ctr.mu, &e.ctr.keys, s.keys)
+	}
+	if t, ok := fs.ThermalProvider().(*Thermal); ok {
+		restore(&t.mu, &t.cores, s.cores)
 	}
 }
 
-// ctrSnap is the captured state of one counter key's fault stream.
-type ctrSnap struct {
-	rng  fastrand.State
-	base uint64
+func capture[K comparable, V any](mu *sync.Mutex, live map[K]*V) snapshot.Table[K, V] {
+	mu.Lock()
+	defer mu.Unlock()
+	return snapshot.Capture(live, nil)
 }
 
-// CountersState is a point-in-time capture of a Counters perturber.
-type CountersState struct {
-	keys map[string]ctrSnap
+func restore[K comparable, V any](mu *sync.Mutex, live *map[K]*V, t snapshot.Table[K, V]) {
+	mu.Lock()
+	defer mu.Unlock()
+	*live = t.Restore(*live, nil)
 }
-
-// Snapshot captures every live counter stream.
-func (c *Counters) Snapshot() *CountersState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := &CountersState{keys: make(map[string]ctrSnap, len(c.keys))}
-	for k, st := range c.keys {
-		s.keys[k] = ctrSnap{rng: st.rng.Save(), base: st.base}
-	}
-	return s
-}
-
-// Restore rewinds the perturber to the captured state.
-func (c *Counters) Restore(s *CountersState) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k := range c.keys {
-		if _, ok := s.keys[k]; !ok {
-			delete(c.keys, k)
-		}
-	}
-	for k, snap := range s.keys {
-		st, ok := c.keys[k]
-		if !ok {
-			st = &counterState{rng: fastrand.New(0)}
-			c.keys[k] = st
-		}
-		st.rng.Restore(snap.rng)
-		st.base = snap.base
-	}
-}
-
-// dtsSnap is the captured state of one core sensor's fault stream.
-type dtsSnap struct {
-	rng  fastrand.State
-	last float64
-	have bool
-}
-
-// ThermalState is a point-in-time capture of a Thermal wrapper.
-type ThermalState struct {
-	cores map[int]dtsSnap
-}
-
-// Snapshot captures every live sensor stream.
-func (t *Thermal) Snapshot() *ThermalState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := &ThermalState{cores: make(map[int]dtsSnap, len(t.cores))}
-	for c, st := range t.cores {
-		s.cores[c] = dtsSnap{rng: st.rng.Save(), last: st.last, have: st.have}
-	}
-	return s
-}
-
-// Restore rewinds the wrapper to the captured state.
-func (t *Thermal) Restore(s *ThermalState) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for c := range t.cores {
-		if _, ok := s.cores[c]; !ok {
-			delete(t.cores, c)
-		}
-	}
-	for c, snap := range s.cores {
-		st, ok := t.cores[c]
-		if !ok {
-			st = &dtsState{rng: fastrand.New(0)}
-			t.cores[c] = st
-		}
-		st.rng.Restore(snap.rng)
-		st.last, st.have = snap.last, snap.have
-	}
-}
-
-// Ctr exposes the counter perturber behind an Energy wrapper so the world
-// snapshot can capture it (the wrapper itself is stateless).
-func (e *Energy) Ctr() *Counters { return e.ctr }
-
-// Inner returns the wrapped provider, so snapshotting code can walk a
-// provider stack (chaos over powerns over raw).
-func (e *Energy) Inner() pseudofs.EnergyProvider { return e.inner }
-
-// Inner returns the wrapped thermal provider.
-func (t *Thermal) Inner() pseudofs.ThermalProvider { return t.inner }

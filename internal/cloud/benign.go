@@ -55,8 +55,13 @@ func (c *BenignConfig) fillDefaults() {
 // FlashDriver generates datacenter-wide flash-crowd events shared by all
 // servers. Register it on the clock before any BenignLoad.
 type FlashDriver struct {
-	cfg        BenignConfig
-	rng        *fastrand.Rand
+	cfg BenignConfig
+	flashState
+}
+
+// flashState is a FlashDriver's mutable state.
+type flashState struct {
+	rng        fastrand.Rand
 	flashUntil float64
 	boost      float64
 }
@@ -64,7 +69,7 @@ type FlashDriver struct {
 // NewFlashDriver creates the shared event process.
 func NewFlashDriver(cfg BenignConfig, seed int64) *FlashDriver {
 	cfg.fillDefaults()
-	return &FlashDriver{cfg: cfg, rng: fastrand.New(seed)}
+	return &FlashDriver{cfg: cfg, flashState: flashState{rng: *fastrand.New(seed)}}
 }
 
 // Tick implements simclock.Ticker.
@@ -91,13 +96,18 @@ func (f *FlashDriver) Boost() float64 { return f.boost }
 // place when the kernel integrates the step.
 type BenignLoad struct {
 	cfg      BenignConfig
-	rng      *fastrand.Rand
 	srv      *Server
 	task     *kernel.Task
 	mixRates perfcount.Rates // per-core activity blend of the aggregate task
 	phase    float64
 	shared   *FlashDriver // non-nil when flashes are datacenter-wide
 
+	benignState
+}
+
+// benignState is a BenignLoad's mutable state.
+type benignState struct {
+	rng        fastrand.Rand
 	flashUntil float64
 	flashBoost float64
 }
@@ -108,11 +118,7 @@ func (b *BenignLoad) SetSharedFlash(f *FlashDriver) { b.shared = f }
 // NewBenignLoad creates the generator for one server.
 func NewBenignLoad(srv *Server, cfg BenignConfig, seed int64) *BenignLoad {
 	cfg.fillDefaults()
-	b := &BenignLoad{
-		cfg: cfg,
-		rng: fastrand.New(seed),
-		srv: srv,
-	}
+	b := &BenignLoad{cfg: cfg, srv: srv, benignState: benignState{rng: *fastrand.New(seed)}}
 	b.phase = (b.rng.Float64()*2 - 1) * cfg.PhaseJitterS
 	// The benign tenants appear as one aggregate task in the root cgroup:
 	// a blend of compute- and memory-bound work.

@@ -31,13 +31,18 @@ type meter struct {
 // Billing meters per-tenant instance-hours and core-hours.
 type Billing struct {
 	pricing Pricing
-	meters  map[string]*meter
-	now     float64
+	billingState
+}
+
+// billingState is a Billing's mutable state.
+type billingState struct {
+	meters map[string]*meter
+	now    float64
 }
 
 // NewBilling returns an empty billing engine.
 func NewBilling(p Pricing) *Billing {
-	return &Billing{pricing: p, meters: make(map[string]*meter)}
+	return &Billing{pricing: p, billingState: billingState{meters: make(map[string]*meter)}}
 }
 
 // Open starts metering a container for the tenant.

@@ -82,10 +82,17 @@ type Datacenter struct {
 	Racks []*Rack
 
 	cfg     Config
-	rng     *fastrand.Rand
 	billing *Billing
-	nextCID int
 	flash   *FlashDriver // non-nil when cfg.Benign.SharedFlash
+
+	datacenterState
+}
+
+// datacenterState is a Datacenter's own mutable state: the placement RNG
+// and the container id sequence.
+type datacenterState struct {
+	rng     fastrand.Rand
+	nextCID int
 }
 
 // Rack groups servers behind one breaker.
@@ -120,6 +127,12 @@ type Server struct {
 	// is Defended, nil otherwise.
 	PowerNS *powerns.Namespace
 
+	serverState
+}
+
+// serverState is a Server's own mutable state; its components (kernel, FS,
+// runtime, benign load, power namespace) carry their own.
+type serverState struct {
 	// Down is set when the rack breaker trips (forced shutdown).
 	Down bool
 
@@ -155,12 +168,8 @@ func (s *Server) HostMount() *pseudofs.Mount {
 // fixed rack order.
 func New(cfg Config) *Datacenter {
 	cfg.fillDefaults()
-	dc := &Datacenter{
-		Clock:   simclock.New(),
-		cfg:     cfg,
-		rng:     fastrand.New(cfg.Seed),
-		billing: NewBilling(DefaultPricing()),
-	}
+	dc := &Datacenter{Clock: simclock.New(), cfg: cfg, billing: NewBilling(DefaultPricing())}
+	dc.rng = *fastrand.New(cfg.Seed)
 	var flash *FlashDriver
 	if cfg.Benign.SharedFlash {
 		flash = NewFlashDriver(cfg.Benign, cfg.Seed+99)
@@ -198,12 +207,12 @@ func New(cfg Config) *Datacenter {
 			})
 			fs := pseudofs.Build(k, cfg.Provider.Hardware)
 			srv := &Server{
-				Name:         k.Options().Hostname,
-				Rack:         rack,
-				Kernel:       k,
-				FS:           fs,
-				Runtime:      container.NewRuntime(k, fs, cfg.Provider.Runtime),
-				reservations: make(map[string]float64),
+				Name:        k.Options().Hostname,
+				Rack:        rack,
+				Kernel:      k,
+				FS:          fs,
+				Runtime:     container.NewRuntime(k, fs, cfg.Provider.Runtime),
+				serverState: serverState{reservations: make(map[string]float64)},
 			}
 			if cfg.Defended {
 				defense.ApplyNamespaceFixes(fs)
@@ -302,6 +311,11 @@ type Breaker struct {
 	// ThermalCapacity is the I²t budget in (overload ratio²)·seconds.
 	ThermalCapacity float64
 
+	breakerState
+}
+
+// breakerState is a Breaker's mutable state.
+type breakerState struct {
 	accum   float64
 	tripped bool
 }

@@ -1,129 +1,77 @@
 package cloud
 
 import (
+	"maps"
+
 	"repro/internal/chaos"
 	"repro/internal/container"
-	"repro/internal/fastrand"
 	"repro/internal/kernel"
 	"repro/internal/powerns"
 	"repro/internal/pseudofs"
 	"repro/internal/simclock"
+	"repro/internal/snapshot"
 )
 
-// WorldState is a copy-on-write capture of an entire datacenter: the
-// simulation clock, the placement RNG, billing, every rack's breaker, and
-// for every server the full kernel snapshot plus FS, runtime, power
-// namespace, benign-load, and chaos-layer state. Restoring a WorldState
-// rewinds the world so precisely that every subsequent tick and read is
-// byte-identical to a freshly built datacenter driven to the same point —
-// the property the seed sweeps depend on to replace rebuilds with
-// restores.
-//
-// Restore is in-place: the Datacenter, Server, Rack, and Container
-// objects keep their identity, so handles taken before the capture stay
-// valid. Anything created after the capture (containers, billing meters,
-// clock events) is dropped. Incremental engines built over a server's
-// mounts must be discarded after a Restore — the epoch clocks rewind with
-// the kernel.
+// WorldState is a capture of an entire datacenter: copies of the state
+// structs of the datacenter, its billing, flash driver, breakers and
+// servers, plus each server's kernel, FS, runtime, power namespace and
+// chaos snapshots. Restore rewinds the world in place — Datacenter,
+// Server, Rack and Container objects keep their identity, and anything
+// created after the capture is dropped — so precisely that every later
+// tick and read is byte-identical to a fresh datacenter driven to the same
+// point, which lets the seed sweeps replace rebuilds with restores.
+// Incremental engines over a server's mounts must be discarded after a
+// Restore: the epoch clocks rewind with the kernel.
 type WorldState struct {
 	clock   *simclock.ClockState
-	rng     fastrand.State
-	nextCID int
-
-	billingNow    float64
-	billingMeters map[string]meter
-
-	flash *flashSnap
-
-	racks   []breakerSnap
+	dc      datacenterState
+	billing billingState
+	meters  snapshot.Table[string, meter]
+	flash   flashState
+	racks   []breakerState
 	servers []serverSnap
 }
 
-type flashSnap struct {
-	rng        fastrand.State
-	flashUntil float64
-	boost      float64
-}
-
-type breakerSnap struct {
-	accum   float64
-	tripped bool
-}
-
 type serverSnap struct {
+	s       serverState
+	benign  benignState
 	kernel  *kernel.Snapshot
 	fs      *pseudofs.FSState
 	runtime *container.RuntimeState
 	powerNS *powerns.NamespaceState
-
-	benignRNG  fastrand.State
-	flashUntil float64
-	flashBoost float64
-
-	down         bool
-	reservations map[string]float64
-
-	chaosInj *chaos.InjectorState
-	chaosCtr *chaos.CountersState
-	chaosDTS *chaos.ThermalState
+	chaos   *chaos.State
 }
 
 // Snapshot captures the datacenter's complete state. The world must be
 // quiescent (no Clock.Run in flight).
 func (dc *Datacenter) Snapshot() *WorldState {
 	s := &WorldState{
-		clock:         dc.Clock.Snapshot(),
-		rng:           dc.rng.Save(),
-		nextCID:       dc.nextCID,
-		billingNow:    dc.billing.now,
-		billingMeters: make(map[string]meter, len(dc.billing.meters)),
+		clock:   dc.Clock.Snapshot(),
+		dc:      dc.datacenterState,
+		billing: dc.billing.billingState,
+		meters:  snapshot.Capture(dc.billing.meters, nil),
 	}
-	for id, m := range dc.billing.meters {
-		s.billingMeters[id] = *m
-	}
+	s.billing.meters = nil // captured whole in s.meters
 	if dc.flash != nil {
-		s.flash = &flashSnap{
-			rng:        dc.flash.rng.Save(),
-			flashUntil: dc.flash.flashUntil,
-			boost:      dc.flash.boost,
-		}
+		s.flash = dc.flash.flashState
 	}
 	for _, rack := range dc.Racks {
-		s.racks = append(s.racks, breakerSnap{
-			accum:   rack.Breaker.accum,
-			tripped: rack.Breaker.tripped,
-		})
-		for _, srv := range rack.Servers {
-			snap := serverSnap{
-				kernel:       srv.Kernel.Snapshot(),
-				fs:           srv.FS.Snapshot(),
-				runtime:      srv.Runtime.Snapshot(),
-				benignRNG:    srv.Benign.rng.Save(),
-				flashUntil:   srv.Benign.flashUntil,
-				flashBoost:   srv.Benign.flashBoost,
-				down:         srv.Down,
-				reservations: make(map[string]float64, len(srv.reservations)),
-			}
-			for id, cores := range srv.reservations {
-				snap.reservations[id] = cores
-			}
-			if srv.PowerNS != nil {
-				snap.powerNS = srv.PowerNS.Snapshot()
-			}
-			// The chaos layer, when armed, owns three mutable islands:
-			// the read-path injector, the counter-reset state stacked on
-			// the RAPL provider, and the per-core DTS glitch state.
-			if inj, ok := srv.FS.Injector().(*chaos.Injector); ok {
-				snap.chaosInj = inj.Snapshot()
-			}
-			if e, ok := srv.FS.EnergyProvider().(*chaos.Energy); ok {
-				snap.chaosCtr = e.Ctr().Snapshot()
-			}
-			if t, ok := srv.FS.ThermalProvider().(*chaos.Thermal); ok {
-				snap.chaosDTS = t.Snapshot()
-			}
-			s.servers = append(s.servers, snap)
+		s.racks = append(s.racks, rack.Breaker.breakerState)
+	}
+	for _, srv := range dc.Servers() {
+		snap := serverSnap{
+			s:       srv.serverState,
+			benign:  srv.Benign.benignState,
+			kernel:  srv.Kernel.Snapshot(),
+			fs:      srv.FS.Snapshot(),
+			runtime: srv.Runtime.Snapshot(),
+			chaos:   chaos.Snapshot(srv.FS),
 		}
+		snap.s.reservations = maps.Clone(snap.s.reservations)
+		if srv.PowerNS != nil {
+			snap.powerNS = srv.PowerNS.Snapshot()
+		}
+		s.servers = append(s.servers, snap)
 	}
 	return s
 }
@@ -131,67 +79,33 @@ func (dc *Datacenter) Snapshot() *WorldState {
 // Restore rewinds the datacenter to the captured state.
 func (dc *Datacenter) Restore(s *WorldState) {
 	dc.Clock.Restore(s.clock)
-	dc.rng.Restore(s.rng)
-	dc.nextCID = s.nextCID
-
-	dc.billing.now = s.billingNow
-	for id := range dc.billing.meters {
-		if _, ok := s.billingMeters[id]; !ok {
-			delete(dc.billing.meters, id)
-		}
-	}
-	for id, saved := range s.billingMeters {
-		m, ok := dc.billing.meters[id]
-		if !ok {
-			m = &meter{}
-			dc.billing.meters[id] = m
-		}
-		*m = saved
+	dc.datacenterState = s.dc
+	billing := s.billing
+	billing.meters = s.meters.Restore(dc.billing.meters, nil)
+	dc.billing.billingState = billing
+	if dc.flash != nil {
+		dc.flash.flashState = s.flash
 	}
 
-	if s.flash != nil {
-		dc.flash.rng.Restore(s.flash.rng)
-		dc.flash.flashUntil = s.flash.flashUntil
-		dc.flash.boost = s.flash.boost
-	}
-
-	i := 0
 	for r, rack := range dc.Racks {
-		rack.Breaker.accum = s.racks[r].accum
-		rack.Breaker.tripped = s.racks[r].tripped
-		for _, srv := range rack.Servers {
-			snap := &s.servers[i]
-			i++
-			// FS before kernel/runtime: it reinstates the captured
-			// handler, provider, and injector pointers the chaos
-			// restores below rewind the guts of.
-			srv.FS.Restore(snap.fs)
-			srv.Kernel.Restore(snap.kernel)
-			srv.Runtime.Restore(snap.runtime)
-			if snap.powerNS != nil {
-				srv.PowerNS.Restore(snap.powerNS)
-			}
-			srv.Benign.rng.Restore(snap.benignRNG)
-			srv.Benign.flashUntil = snap.flashUntil
-			srv.Benign.flashBoost = snap.flashBoost
-			srv.Down = snap.down
-			for id := range srv.reservations {
-				if _, ok := snap.reservations[id]; !ok {
-					delete(srv.reservations, id)
-				}
-			}
-			for id, cores := range snap.reservations {
-				srv.reservations[id] = cores
-			}
-			if snap.chaosInj != nil {
-				srv.FS.Injector().(*chaos.Injector).Restore(snap.chaosInj)
-			}
-			if snap.chaosCtr != nil {
-				srv.FS.EnergyProvider().(*chaos.Energy).Ctr().Restore(snap.chaosCtr)
-			}
-			if snap.chaosDTS != nil {
-				srv.FS.ThermalProvider().(*chaos.Thermal).Restore(snap.chaosDTS)
-			}
+		rack.Breaker.breakerState = s.racks[r]
+	}
+	for i, srv := range dc.Servers() {
+		snap := &s.servers[i]
+		// FS first: it reinstates the wrappers whose fault streams
+		// chaos.Restore rewinds.
+		srv.FS.Restore(snap.fs)
+		srv.Kernel.Restore(snap.kernel)
+		srv.Runtime.Restore(snap.runtime)
+		if snap.powerNS != nil {
+			srv.PowerNS.Restore(snap.powerNS)
 		}
+		srv.Benign.benignState = snap.benign
+		clear(srv.reservations)
+		maps.Copy(srv.reservations, snap.s.reservations)
+		st := snap.s
+		st.reservations = srv.reservations
+		srv.serverState = st
+		chaos.Restore(srv.FS, snap.chaos)
 	}
 }

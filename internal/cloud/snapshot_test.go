@@ -22,6 +22,7 @@ package cloud
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +30,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/container"
 	"repro/internal/pseudofs"
+	"repro/internal/snapshot/snapshottest"
 	"repro/internal/workload"
 )
 
@@ -186,9 +188,15 @@ func snapshotRoundTrip(ops []byte, pre int, defended bool, spec chaos.Spec) (str
 	a := newSnapWorld(defended, spec)
 	a.apply(ops, 0, pre)
 	snap := a.dc.Snapshot()
+	if shared := worldShares(a.dc, snap); len(shared) > 0 {
+		return "", fmt.Errorf("the capture shares memory with the live world: %v", shared)
+	}
 	savedLive := append([]*container.Container(nil), a.live...)
 	a.apply(ops, pre, len(ops))
 	a.dc.Restore(snap)
+	if shared := worldShares(a.dc, snap); len(shared) > 0 {
+		return "", fmt.Errorf("after Restore the capture shares memory with the live world: %v", shared)
+	}
 	a.live = savedLive
 	fpA := a.fingerprint()
 
@@ -218,5 +226,81 @@ func snapshotRoundTrip(ops []byte, pre int, defended bool, spec chaos.Spec) (str
 		return "", fmt.Errorf("post-restore replay diverges from fresh replay\nfirst difference near: %s",
 			firstLineDiff(fpB2, fpA2))
 	}
+
+	// The replay mutated everything the restore handed back, so a
+	// capture sharing a slice or map with the live world shows here.
+	a.dc.Restore(snap)
+	a.live = append(a.live[:0], savedLive...)
+	if fp3 := a.fingerprint(); fp3 != fpA {
+		return "", fmt.Errorf("restore after the replay diverges from the first restore\nfirst difference near: %s",
+			firstLineDiff(fpA, fp3))
+	}
 	return fpA2, nil
+}
+
+// worldShares lists the slices and maps through which a capture shares
+// memory with the cloud-level state of the live world; each component
+// below the cloud layer checks its own.
+func worldShares(dc *Datacenter, s *WorldState) []string {
+	out := append(snapshottest.Shared(dc.billing.billingState, s.billing), snapshottest.Shared(nil, s.meters)...)
+	for i, srv := range dc.Servers() {
+		out = append(out, snapshottest.Shared(srv.serverState, s.servers[i].s)...)
+	}
+	return out
+}
+
+// TestSnapshotGuards fails when a field is added to a cloud type outside
+// its state struct without an exemption saying why WorldState needs no
+// copy of it; each guard also checks that it fires on one extra field.
+func TestSnapshotGuards(t *testing.T) {
+	const (
+		component  = "a component with its own snapshot inside WorldState"
+		structural = "fixed when the world is built"
+	)
+	for _, g := range []struct {
+		typ, grown reflect.Type
+		state      string
+		exempt     map[string]string
+	}{
+		{reflect.TypeFor[Datacenter](), reflect.TypeFor[struct {
+			Datacenter
+			escaped int
+		}](), "datacenterState", map[string]string{
+			"Clock": component, "billing": component, "flash": component,
+			"Racks": structural, "cfg": structural,
+		}},
+		{reflect.TypeFor[Server](), reflect.TypeFor[struct {
+			Server
+			escaped int
+		}](), "serverState", map[string]string{
+			"Kernel": component, "FS": component, "Runtime": component,
+			"Benign": component, "PowerNS": component,
+			"Name": structural, "Rack": structural,
+		}},
+		{reflect.TypeFor[Breaker](), reflect.TypeFor[struct {
+			Breaker
+			escaped int
+		}](), "breakerState", map[string]string{
+			"RatedW": structural, "MagneticFactor": structural, "ThermalCapacity": structural,
+		}},
+		{reflect.TypeFor[BenignLoad](), reflect.TypeFor[struct {
+			BenignLoad
+			escaped int
+		}](), "benignState", map[string]string{
+			"cfg": structural, "srv": structural, "task": structural,
+			"mixRates": structural, "phase": structural, "shared": structural,
+		}},
+		{reflect.TypeFor[FlashDriver](), reflect.TypeFor[struct {
+			FlashDriver
+			escaped int
+		}](), "flashState", map[string]string{"cfg": structural}},
+		{reflect.TypeFor[Billing](), reflect.TypeFor[struct {
+			Billing
+			escaped int
+		}](), "billingState", map[string]string{"pricing": structural}},
+	} {
+		for _, f := range snapshottest.Check(g.typ, g.grown, g.state, g.exempt) {
+			t.Error(f)
+		}
+	}
 }

@@ -121,18 +121,19 @@ type Runtime struct {
 	fs      *pseudofs.FS
 	profile RuntimeProfile
 
+	runtimeState
+}
+
+// runtimeState is a Runtime's mutable state.
+type runtimeState struct {
 	containers map[string]*Container
 	seq        int
 }
 
 // NewRuntime returns a runtime over the host's kernel and pseudo-fs tree.
 func NewRuntime(k *kernel.Kernel, fs *pseudofs.FS, profile RuntimeProfile) *Runtime {
-	return &Runtime{
-		k:          k,
-		fs:         fs,
-		profile:    profile,
-		containers: make(map[string]*Container),
-	}
+	return &Runtime{k: k, fs: fs, profile: profile,
+		runtimeState: runtimeState{containers: make(map[string]*Container)}}
 }
 
 // Kernel returns the host kernel the runtime drives.

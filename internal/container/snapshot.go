@@ -1,62 +1,36 @@
 package container
 
 import (
-	"repro/internal/kernel"
-	"repro/internal/pseudofs"
+	"slices"
+
+	"repro/internal/snapshot"
 )
 
 // RuntimeState is a point-in-time capture of a Runtime for the world
-// snapshot machinery. Container identity (ID, namespaces, veth, base
-// policy) is fixed at Create; what moves afterwards is the set of live
-// containers, the id sequence, each container's mount pointer (swapped by
-// ApplyPolicy/RevertPolicy) and its workload task list. Restore puts those
-// back on the *same* Container pointers, so handles held by callers stay
-// valid, and drops containers created after the capture — their kernel
-// residue (tasks, cgroups, namespaces, veth devices) is rewound by the
-// kernel's own Restore.
+// snapshot machinery: a copy of its state struct plus its container table.
+// Restore puts every captured container's value (mount, task list) back
+// on the same Container pointer, so callers' handles stay valid, and drops
+// containers created after the capture; the kernel's own Restore rewinds
+// their tasks, cgroups, namespaces and veth devices.
 type RuntimeState struct {
-	seq        int
-	containers map[string]*Container
-	state      map[string]containerSnap
-}
-
-type containerSnap struct {
-	mount *pseudofs.Mount
-	tasks []*kernel.Task
+	s          runtimeState
+	containers snapshot.Table[string, Container]
 }
 
 // Snapshot captures the runtime's mutable state.
 func (r *Runtime) Snapshot() *RuntimeState {
-	s := &RuntimeState{
-		seq:        r.seq,
-		containers: make(map[string]*Container, len(r.containers)),
-		state:      make(map[string]containerSnap, len(r.containers)),
-	}
-	for id, c := range r.containers {
-		s.containers[id] = c
-		s.state[id] = containerSnap{
-			mount: c.mount,
-			tasks: append([]*kernel.Task(nil), c.tasks...),
-		}
-	}
+	s := &RuntimeState{s: r.runtimeState, containers: snapshot.Capture(r.containers, cloneContainer)}
+	s.s.containers = nil // captured whole in s.containers
 	return s
 }
 
-// Restore rewinds the runtime to the captured state. Stop filters c.tasks
-// in place, so each restore hands the container a fresh copy of the
-// captured task list — one RuntimeState stays valid across any number of
-// restores.
+// Restore rewinds the runtime to the captured state.
 func (r *Runtime) Restore(s *RuntimeState) {
-	r.seq = s.seq
-	for id := range r.containers {
-		if _, ok := s.containers[id]; !ok {
-			delete(r.containers, id)
-		}
-	}
-	for id, c := range s.containers {
-		snap := s.state[id]
-		r.containers[id] = c
-		c.mount = snap.mount
-		c.tasks = append([]*kernel.Task(nil), snap.tasks...)
-	}
+	st := s.s
+	st.containers = s.containers.Restore(r.containers, cloneContainer)
+	r.runtimeState = st
 }
+
+// cloneContainer gives a container value its own task list: Stop filters
+// it in place.
+func cloneContainer(c *Container) { c.tasks = slices.Clone(c.tasks) }

@@ -46,7 +46,11 @@ const (
 )
 
 // Rand is a drop-in, stream-identical replacement for
-// *math/rand.Rand created via rand.New(rand.NewSource(seed)).
+// *math/rand.Rand created via rand.New(rand.NewSource(seed)). It is a
+// plain value with no pointers: a copy saves the full stream position (the
+// lag window, the tap/feed indices and Read's byte carry), and assigning
+// the copy back rewinds the stream. World snapshots hold RNGs by value in
+// their state structs and rely on exactly this.
 type Rand struct {
 	tap  int32
 	feed int32
@@ -403,22 +407,6 @@ func (r *Rand) AddScaledJitter2Rows(ab []float64, cols int, scaleA, scaleB []flo
 	}
 	r.tap, r.feed = int32(tap), int32(feed)
 }
-
-// State is an opaque copy of a generator's full stream position — the
-// 607-word lag window, the tap/feed indices, and Read's byte buffer. It is
-// a plain value: assignment copies it, and no aliasing ties it to the Rand
-// it came from. Snapshot/Restore of simulated worlds capture RNG stream
-// positions with it.
-type State struct {
-	r Rand
-}
-
-// Save captures the generator's complete state.
-func (r *Rand) Save() State { return State{r: *r} }
-
-// Restore rewinds the generator to a previously saved state. The next draw
-// after Restore returns exactly what the next draw after Save would have.
-func (r *Rand) Restore(s State) { *r = s.r }
 
 // Int31n returns a non-negative pseudo-random number in [0,n).
 // It panics if n <= 0. The rejection-sampling structure matches

@@ -287,11 +287,11 @@ func TestAddScaledJitter2RowsEquivalence(t *testing.T) {
 	}
 }
 
-// TestSaveRestoreStreamIdentity pins the snapshot contract: the draw stream
-// after Restore replays exactly the stream after Save, across every method
-// class (scalars, bounded, Read's byte carry, and both fused block kernels
-// the kernel tick uses), and a single State can be restored any number of
-// times.
+// TestSaveRestoreStreamIdentity pins the snapshot contract: a Rand is a
+// plain value, so a copy saves its full stream position and assigning the
+// copy back replays exactly the stream that followed the save, across
+// every method class (scalars, bounded, Read's byte carry, and both fused
+// block kernels the kernel tick uses), any number of times.
 func TestSaveRestoreStreamIdentity(t *testing.T) {
 	chooser := rand.New(rand.NewSource(11))
 	drain := func(r *Rand, n int) []uint64 {
@@ -337,11 +337,11 @@ func TestSaveRestoreStreamIdentity(t *testing.T) {
 		// Move to a mid-stream position (including a partial Read carry).
 		r.Read(make([]byte, 5))
 		r.Uint64()
-		s := r.Save()
+		s := *r
 		chooser.Seed(int64(seed) ^ 0x5a5a)
 		want := drain(r, 200)
 		for attempt := 0; attempt < 3; attempt++ {
-			r.Restore(s)
+			*r = s
 			chooser.Seed(int64(seed) ^ 0x5a5a)
 			got := drain(r, 200)
 			for i := range want {

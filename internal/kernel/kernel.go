@@ -87,36 +87,66 @@ func (o *Options) fillDefaults() {
 // race on — or perturb — the simulation's jitter stream. See
 // ARCHITECTURE.md's concurrency contract.
 type Kernel struct {
+	// kernelState holds every mutable field; Snapshot is a copy of it
+	// (snapshot.go). What stays outside is fixed at New, a view into the
+	// state, a component with its own snapshot, an atomic, or scratch.
+	kernelState
+
 	opts Options
 
-	// rng drives the simulation's jitter stream. It is a fastrand.Rand —
-	// bit-identical to math/rand for the same seed, but inlinable: Tick
-	// draws ~850 jitter values per step at 24 cores, making this the
-	// hottest call site in the whole substrate.
-	rng *fastrand.Rand
-
-	// uuidRNG feeds /proc/sys/kernel/random/uuid reads. It is deliberately
-	// separate from rng: reads happen concurrently during parallel
-	// cross-validation, and must neither race on nor reorder the jitter
-	// stream that drives the deterministic simulation.
-	uuidMu  sync.Mutex
-	uuidRNG *fastrand.Rand
+	// uuidMu guards uuidRNG: /proc/sys/kernel/random/uuid reads draw from
+	// it concurrently during parallel cross-validation.
+	uuidMu sync.Mutex
 
 	meter *power.Meter
 	freq  *power.Governor
 	perf  *perfcount.Monitor
 
+	// initNS and rootCG (cgroups["/"]) are created in New and never
+	// removed, so the cached pointers stay valid for the kernel's lifetime.
+	initNS *NSSet
+	rootCG *Cgroup
+
+	// Interrupt accounting. The PerCPU slices of every IRQ and SoftIRQ,
+	// softnetPackets (per CPU) and the usage/time rows of every IdleState
+	// are views into jitterRows and idleRows.
+	irqs           []*IRQ
+	softirqs       []*SoftIRQ
+	softnetPackets []float64
+	idleStates     []IdleState
+
+	// epochs holds the per-subsystem generation counters behind the
+	// incremental scan engine's dirty tracking (see epoch.go). Bumped via
+	// bump(); atomic because one read path can reach a bump concurrently.
+	epochs [NumSubsystems]atomic.Uint64
+
+	tickScratch
+}
+
+// kernelState is a kernel's complete mutable state.
+type kernelState struct {
+	// rng drives the simulation's jitter stream. It is a fastrand.Rand —
+	// bit-identical to math/rand for the same seed, but inlinable: Tick
+	// draws ~850 jitter values per step at 24 cores, making this the
+	// hottest call site in the whole substrate.
+	rng fastrand.Rand
+
+	// uuidRNG feeds /proc/sys/kernel/random/uuid reads (under uuidMu). It
+	// is deliberately separate from rng: reads happen concurrently during
+	// parallel cross-validation, and must neither race on nor reorder the
+	// jitter stream that drives the deterministic simulation.
+	uuidRNG fastrand.Rand
+
 	now        float64 // simulated time (uptime advances with it)
 	uptimeBase float64 // uptime already accumulated before t=0
 	bootID     string
-	initNS     *NSSet
 	nextNSID   uint64
 	nextPID    int
 
-	// nsSets registers every namespace set ever created on this kernel
-	// (init first), so Snapshot can capture and Restore rewind their
-	// mutable state (pid maps, device lists, shm tables) in place.
-	nsSets []*NSSet
+	// nsSets registers every namespace set ever created on this kernel,
+	// by mount namespace id, so Snapshot can capture and Restore rewind
+	// their mutable state (pid maps, device lists, shm tables) in place.
+	nsSets map[uint64]*NSSet
 
 	tasks      map[int]*Task
 	cgroups    map[string]*Cgroup
@@ -128,15 +158,14 @@ type Kernel struct {
 	sysLockSeq uint64
 
 	// taskList mirrors tasks in ascending-pid order and cgroupList mirrors
-	// cgroups in creation order; rootCG caches cgroups["/"] (created in New,
-	// never removed). Tick iterates the slices instead of the maps: the map
-	// versions cost randomized-iteration and string-hash overhead on every
-	// tick, and the accumulations they feed are order-invariant (integer
-	// counts, and float sums whose stability under Go's randomized map order
-	// the byte-identity goldens have always depended on).
+	// cgroups in creation order. Tick iterates the slices instead of the
+	// maps: the map versions cost randomized-iteration and string-hash
+	// overhead on every tick, and the accumulations they feed are
+	// order-invariant (integer counts, and float sums whose stability under
+	// Go's randomized map order the byte-identity goldens have always
+	// depended on).
 	taskList   []*Task
 	cgroupList []*Cgroup
-	rootCG     *Cgroup
 
 	// Scheduler & CPU accounting.
 	cpu          []CPUTimes
@@ -149,11 +178,6 @@ type Kernel struct {
 	lastBusy     float64 // busy core-equivalents of the last tick
 	newidleCost  []uint64
 
-	// Interrupt accounting. The PerCPU slices of every IRQ and SoftIRQ are
-	// views into jitterRows (see below).
-	irqs     []*IRQ
-	softirqs []*SoftIRQ
-
 	// Struct-of-arrays backing for the tick's jitter fan-outs. jitterRows
 	// holds len(irqs)+len(softirqs) consecutive rows of Cores elements —
 	// irq rows first, then softirq rows, in registration order — followed
@@ -164,12 +188,6 @@ type Kernel struct {
 	// whole blocks at once.
 	jitterRows []float64
 	idleRows   []float64
-
-	// rowScales/idleScaleA/idleScaleB are per-tick scratch for the fused
-	// row kernels' per-row leading factors.
-	rowScales  []float64
-	idleScaleA []float64
-	idleScaleB []float64
 
 	// Memory accounting.
 	memBaseUsedKB uint64
@@ -190,28 +208,36 @@ type Kernel struct {
 	pgAllocs       float64
 	sectorsRead    float64
 	sectorsWritten float64
-	softnetPackets []float64 // per CPU
 
 	// Entropy pool.
 	entropyAvail float64
-
-	// cpuidle accounting: per state, usage count and total microseconds.
-	idleStates []IdleState
 
 	// schedstat accumulation per cpu (nanoseconds).
 	schedRunNS  []float64
 	schedWaitNS []float64
 	timeslices  []uint64
 
-	// epochs holds the per-subsystem generation counters behind the
-	// incremental scan engine's dirty tracking (see epoch.go). Bumped via
-	// bump(); atomic because one read path can reach a bump concurrently.
-	epochs [NumSubsystems]atomic.Uint64
+	// Load-average decay factors, memoized on the last dt seen: the
+	// driving clock steps with a constant dt, so the three math.Exp calls
+	// per tick collapse to three cached multiplies. Recomputing on a dt
+	// change keeps the result bit-identical to the unmemoized form.
+	decayDt  float64
+	decayA1  float64
+	decayA5  float64
+	decayA15 float64
+}
 
-	// Tick scratch space, reused every step so the hot loop allocates
-	// nothing. Safe because Tick runs on a single shard worker and never
-	// hands these slices/maps to code that retains them (power.Meter.Step
-	// copies what it needs).
+// tickScratch is Tick's scratch space, reused every step so the hot loop
+// allocates nothing. Safe because Tick runs on a single shard worker and
+// never hands these slices/maps to code that retains them
+// (power.Meter.Step copies what it needs).
+type tickScratch struct {
+	// rowScales/idleScaleA/idleScaleB hold the fused row kernels'
+	// per-row leading factors.
+	rowScales  []float64
+	idleScaleA []float64
+	idleScaleB []float64
+
 	perCoreScratch []float64
 	sharesScratch  []float64
 	quotaDemand    map[string]float64
@@ -228,15 +254,6 @@ type Kernel struct {
 	// arrays coherent.
 	taskDemand []float64
 	taskQF     []float64
-
-	// Load-average decay factors, memoized on the last dt seen: the
-	// driving clock steps with a constant dt, so the three math.Exp calls
-	// per tick collapse to three cached multiplies. Recomputing on a dt
-	// change keeps the result bit-identical to the unmemoized form.
-	decayDt  float64
-	decayA1  float64
-	decayA5  float64
-	decayA15 float64
 }
 
 // CPUTimes is the per-core /proc/stat accounting in USER_HZ(100) ticks.
@@ -285,21 +302,19 @@ type Ext4Group struct {
 // New creates a booted kernel at simulated time zero.
 func New(opts Options) *Kernel {
 	opts.fillDefaults()
-	k := &Kernel{
-		opts:    opts,
-		rng:     fastrand.New(opts.Seed),
-		perf:    perfcount.NewMonitor(),
-		tasks:   make(map[int]*Task),
-		cgroups: make(map[string]*Cgroup),
-		nextPID: 300, // early pids are kernel threads
-	}
+	k := &Kernel{opts: opts, perf: perfcount.NewMonitor()}
+	k.rng = *fastrand.New(opts.Seed)
+	k.tasks = make(map[int]*Task)
+	k.cgroups = make(map[string]*Cgroup)
+	k.nsSets = make(map[uint64]*NSSet)
+	k.nextPID = 300 // early pids are kernel threads
 	k.meter = power.New(opts.Power)
 	k.freq = power.NewGovernor(power.GovernorConfig{
 		Cores:  opts.Cores,
 		MaxKHz: uint64(opts.CPUMHz * 1000),
 	})
-	k.uuidRNG = fastrand.New(opts.Seed ^ 0x75756964) // "uuid"
-	k.bootID = uuidFrom(k.rng)                       // same draw order as always
+	k.uuidRNG = *fastrand.New(opts.Seed ^ 0x75756964) // "uuid"
+	k.bootID = uuidFrom(&k.rng)                       // same draw order as always
 	if opts.WallClockNow > opts.BootWallClock {
 		k.uptimeBase = float64(opts.WallClockNow - opts.BootWallClock)
 	}
@@ -432,7 +447,7 @@ func (k *Kernel) InitNS() *NSSet { return k.initNS }
 func (k *Kernel) genUUID() string {
 	k.uuidMu.Lock()
 	defer k.uuidMu.Unlock()
-	return uuidFrom(k.uuidRNG)
+	return uuidFrom(&k.uuidRNG)
 }
 
 // uuidFrom formats 16 bytes of rng output as an RFC-4122 UUID.

@@ -146,7 +146,7 @@ func (k *Kernel) newInitNS() *NSSet {
 	// shared caches); containers start with none.
 	s.CreateShm(0x51f2e9a1, 4096, 812)
 	s.CreateShm(0, 1024, 901)
-	k.nsSets = append(k.nsSets, s)
+	k.nsSets[s.ids[MNT]] = s
 	return s
 }
 
@@ -170,7 +170,7 @@ func (k *Kernel) NewNSSet(hostname, cgroupRoot string) *NSSet {
 	}
 	s.CreatedAt = k.now
 	s.BootID = k.genUUID()
-	k.nsSets = append(k.nsSets, s)
+	k.nsSets[s.ids[MNT]] = s
 	k.bump(MaskNS)
 	return s
 }

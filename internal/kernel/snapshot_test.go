@@ -4,83 +4,47 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"repro/internal/snapshot/snapshottest"
 )
 
-// snapshotExempt lists the Kernel fields Snapshot deliberately does not
-// capture under their own name, each with the reason.
+// snapshotExempt lists the Kernel fields outside kernelState, the state
+// struct Snapshot copies, each with the reason it needs no capture there.
 var snapshotExempt = map[string]string{
 	"opts":           "immutable after New",
 	"uuidMu":         "guards uuidRNG; holds no state",
-	"initNS":         "pointer fixed by New; the set's state is captured through nsSets",
-	"rootCG":         "pointer fixed by New; Restore re-reads it from cgroups",
-	"taskList":       "captured as tasks (pid order) and rebuilt by Restore",
-	"cgroupList":     "captured as cgroups (creation order) and rebuilt by Restore",
-	"irqs":           "PerCPU rows are views into jitterRows, which is captured",
-	"softirqs":       "PerCPU rows are views into jitterRows, which is captured",
-	"softnetPackets": "a view into jitterRows, which is captured",
-	"idleStates":     "usage/time rows are views into idleRows, which is captured",
-	"rowScales":      "per-tick scratch, rewritten before every use",
-	"idleScaleA":     "per-tick scratch, rewritten before every use",
-	"idleScaleB":     "per-tick scratch, rewritten before every use",
-	"perCoreScratch": "per-tick scratch, rewritten before every use",
-	"sharesScratch":  "per-tick scratch, rewritten before every use",
-	"quotaDemand":    "per-tick scratch, cleared before every use",
-	"quotaOut":       "per-tick scratch, cleared before every use",
-	"taskDemand":     "per-tick mirror of taskList, regathered at the top of Tick",
-	"taskQF":         "per-tick mirror of taskList, regathered at the top of Tick",
-}
-
-// uncaptured returns the fields of kType that stateType has no field of
-// the same name for and exempt does not list.
-func uncaptured(kType, stateType reflect.Type, exempt map[string]string) []string {
-	var out []string
-	for i := 0; i < kType.NumField(); i++ {
-		name := kType.Field(i).Name
-		_, captured := stateType.FieldByName(name)
-		_, exempted := exempt[name]
-		if !captured && !exempted {
-			out = append(out, name)
-		}
-	}
-	return out
+	"meter":          "component pointer fixed by New; its state is captured as Snapshot.meter",
+	"freq":           "component pointer fixed by New; its state is captured as Snapshot.freq",
+	"perf":           "component pointer fixed by New; its state is captured as Snapshot.perf",
+	"initNS":         "pointer fixed by New; the set is captured through the nsSets table",
+	"rootCG":         "pointer fixed by New; the cgroup is captured through the cgroups table",
+	"irqs":           "names and rates are fixed by New; PerCPU rows are views into jitterRows",
+	"softirqs":       "names and rates are fixed by New; PerCPU rows are views into jitterRows",
+	"softnetPackets": "a view into jitterRows",
+	"idleStates":     "names are fixed by New; usage/time rows are views into idleRows",
+	"epochs":         "atomics, which a struct copy may not copy; captured as Snapshot.epochs",
+	"tickScratch":    "per-tick scratch and mirrors, rewritten before every use",
 }
 
 // TestKernelSnapshotCapturesEveryField fails when a field is added to
-// Kernel without a place in Snapshot (so Restore would silently let it
-// escape) or an exemption saying why it needs none.
+// Kernel outside kernelState (so Restore would silently let it escape)
+// without an exemption saying why it needs no capture, or when an
+// exemption names no field.
 func TestKernelSnapshotCapturesEveryField(t *testing.T) {
-	kType, snapType := reflect.TypeFor[Kernel](), reflect.TypeFor[Snapshot]()
-	if missing := uncaptured(kType, snapType, snapshotExempt); len(missing) > 0 {
-		t.Errorf("Kernel fields not captured by Snapshot: %v", missing)
-	}
-	for name := range snapshotExempt {
-		if _, ok := kType.FieldByName(name); !ok {
-			t.Errorf("exemption %q names no Kernel field", name)
-		}
+	if stray := snapshottest.Stray(reflect.TypeFor[Kernel](), "kernelState", snapshotExempt); len(stray) > 0 {
+		t.Errorf("Kernel fields outside kernelState and not exempt: %v", stray)
 	}
 }
 
 // TestKernelSnapshotGuardFires is the guard's own test: a struct with one
-// field more than Kernel must be reported, and Kernel itself without its
-// exemptions must report exactly the exempted fields.
+// field more than Kernel must be reported.
 func TestKernelSnapshotGuardFires(t *testing.T) {
 	type grown struct {
 		Kernel
 		escaped uint64
 	}
-	snap := reflect.TypeFor[Snapshot]()
-	if got := uncaptured(reflect.TypeFor[grown](), snap, map[string]string{"Kernel": ""}); !slices.Equal(got, []string{"escaped"}) {
-		t.Errorf("guard reported %v for a struct with one uncaptured field, want [escaped]", got)
-	}
-	got := uncaptured(reflect.TypeFor[Kernel](), snap, nil)
-	var want []string
-	for name := range snapshotExempt {
-		want = append(want, name)
-	}
-	slices.Sort(got)
-	slices.Sort(want)
-	if !slices.Equal(got, want) {
-		t.Errorf("guard without exemptions reported %v, want %v", got, want)
+	if got := snapshottest.Stray(reflect.TypeFor[grown](), "kernelState", snapshotExempt); !slices.Equal(got, []string{"escaped"}) {
+		t.Errorf("guard reported %v for a Kernel with one uncaptured field, want [escaped]", got)
 	}
 }
 
@@ -99,5 +63,35 @@ func TestTickAllocatesNothing(t *testing.T) {
 	tick(k, 5)
 	if n := testing.AllocsPerRun(100, func() { k.Tick(k.Now()+0.5, 0.5) }); n != 0 {
 		t.Fatalf("Tick allocates %g times per call", n)
+	}
+}
+
+// TestKernelSnapshotSharesNothing checks that a capture and the live
+// kernel share no slice or map, right after Snapshot and after a Restore
+// that followed more ticks, so a Snapshot or Restore that lets them share
+// one fails here even where no later tick or render would show it.
+func TestKernelSnapshotSharesNothing(t *testing.T) {
+	k := New(Options{Hostname: "node-a", Seed: 5, Cores: 8})
+	cg := "/docker/c1"
+	ns := k.NewNSSet("c1", cg)
+	demand, rates := busyTask()
+	task := k.Spawn("worker", ns, cg, demand, rates)
+	task.Pinned = []int{1, 2}
+	k.AddFileLock(task, "WRITE", 77)
+	k.Cgroup(cg).IfPrioMap = map[string]int{"eth0": 3}
+	tick(k, 3)
+	s := k.Snapshot()
+	for _, stage := range []string{"Snapshot", "Restore"} {
+		if stage == "Restore" {
+			tick(k, 3)
+			k.Restore(s)
+		}
+		var shared []string
+		for _, p := range [][2]any{{k.kernelState, s.state}, {nil, s.tasks}, {nil, s.cgroups}, {nil, s.nsSets}} {
+			shared = append(shared, snapshottest.Shared(p[0], p[1])...)
+		}
+		if len(shared) > 0 {
+			t.Errorf("after %s the capture shares memory with the live kernel: %v", stage, shared)
+		}
 	}
 }

@@ -126,7 +126,10 @@ const DefaultSwitchCost = 2.6e-6
 
 // Monitor is the per-host perf_event accounting state. The zero value is an
 // enabled monitor with no groups; use NewMonitor for an explicit constructor.
-type Monitor struct {
+type Monitor struct{ monitorState }
+
+// monitorState is a Monitor's mutable state: all of it.
+type monitorState struct {
 	groups     map[string]*group
 	disabled   bool
 	switchCost float64
@@ -146,7 +149,7 @@ type group struct {
 // NewMonitor returns an enabled Monitor with the default context-switch
 // cost model.
 func NewMonitor() *Monitor {
-	return &Monitor{switchCost: DefaultSwitchCost}
+	return &Monitor{monitorState{switchCost: DefaultSwitchCost}}
 }
 
 // SetSwitchCost overrides the per-inter-cgroup-switch cost in seconds.

@@ -1,52 +1,26 @@
 package perfcount
 
+import "repro/internal/snapshot"
+
 // MonitorState is a point-in-time capture of a Monitor for the world
 // snapshot machinery. Groups created after the capture are dropped on
-// Restore; groups that were removed in between are recreated with their
-// exact accumulated counters (CreateGroup alone would zero them).
+// Restore; groups that were removed in between come back with their exact
+// accumulated counters (CreateGroup alone would zero them).
 type MonitorState struct {
-	groups        map[string]group // value copies: counters + enabled
-	disabled      bool
-	switchCost    float64
-	interSwitches uint64
-	intraSwitches uint64
+	s      monitorState
+	groups snapshot.Table[string, group]
 }
 
 // Snapshot captures the monitor's mutable state.
 func (m *Monitor) Snapshot() *MonitorState {
-	s := &MonitorState{
-		groups:        make(map[string]group, len(m.groups)),
-		disabled:      m.disabled,
-		switchCost:    m.switchCost,
-		interSwitches: m.InterSwitches,
-		intraSwitches: m.IntraSwitches,
-	}
-	for name, g := range m.groups {
-		s.groups[name] = *g
-	}
+	s := &MonitorState{s: m.monitorState, groups: snapshot.Capture(m.groups, nil)}
+	s.s.groups = nil // captured whole in s.groups
 	return s
 }
 
 // Restore rewinds the monitor to the captured state.
 func (m *Monitor) Restore(s *MonitorState) {
-	for name := range m.groups {
-		if _, ok := s.groups[name]; !ok {
-			delete(m.groups, name)
-		}
-	}
-	for name, saved := range s.groups {
-		g, ok := m.groups[name]
-		if !ok {
-			if m.groups == nil {
-				m.groups = make(map[string]*group)
-			}
-			g = &group{}
-			m.groups[name] = g
-		}
-		*g = saved
-	}
-	m.disabled = s.disabled
-	m.switchCost = s.switchCost
-	m.InterSwitches = s.interSwitches
-	m.IntraSwitches = s.intraSwitches
+	st := s.s
+	st.groups = s.groups.Restore(m.groups, nil)
+	m.monitorState = st
 }

@@ -41,7 +41,11 @@ const (
 // worker count.
 type Governor struct {
 	cfg GovernorConfig
+	governorState
+}
 
+// governorState is a Governor's mutable state.
+type governorState struct {
 	// cur is the continuous (pre-quantization) per-core frequency the slew
 	// limiter integrates; kHz holds the published quantized values and
 	// trans the per-core transition counters (cpufreq stats total_trans).
@@ -69,12 +73,11 @@ func NewGovernor(cfg GovernorConfig) *Governor {
 	if cfg.SlewKHzPerSec <= 0 {
 		cfg.SlewKHzPerSec = DefaultSlewKHzPerSec
 	}
-	g := &Governor{
-		cfg:   cfg,
+	g := &Governor{cfg: cfg, governorState: governorState{
 		cur:   make([]float64, cfg.Cores),
 		kHz:   make([]uint64, cfg.Cores),
 		trans: make([]uint64, cfg.Cores),
-	}
+	}}
 	for i := range g.cur {
 		g.cur[i] = float64(cfg.MinKHz)
 		g.kHz[i] = cfg.MinKHz

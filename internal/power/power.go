@@ -103,7 +103,11 @@ func DefaultConfig() Config {
 // Step once per clock tick.
 type Meter struct {
 	cfg Config
+	meterState
+}
 
+// meterState is a Meter's mutable state.
+type meterState struct {
 	energyUJ [4]float64 // indexed by Domain; fractional accumulation pre-wrap
 	lastW    [4]float64 // instantaneous Watts of the most recent step
 	tempC    []float64  // per-core temperature
@@ -156,7 +160,7 @@ func New(cfg Config) *Meter {
 	if cfg.MaxEnergyRangeUJ == 0 {
 		cfg.MaxEnergyRangeUJ = def.MaxEnergyRangeUJ
 	}
-	m := &Meter{cfg: cfg, tempC: make([]float64, cfg.Cores)}
+	m := &Meter{cfg: cfg, meterState: meterState{tempC: make([]float64, cfg.Cores)}}
 	for i := range m.tempC {
 		m.tempC[i] = cfg.AmbientC
 	}

@@ -1,59 +1,47 @@
 package power
 
-// Snapshot/Restore support for the world snapshot machinery: the meter and
-// governor are pure state machines (no RNG), so a capture is a plain value
-// copy of their mutable fields. Configs are immutable after New and are not
-// captured; Restore must be applied to the same instance (or one built from
-// the same config).
+import "repro/internal/snapshot"
 
-// MeterState is a point-in-time capture of a Meter.
-type MeterState struct {
-	energyUJ [4]float64
-	lastW    [4]float64
-	tempC    []float64
-	limitW   float64
-}
+// MeterState is a point-in-time capture of a Meter for the world snapshot
+// machinery: a copy of its state struct. The config is immutable after
+// New, so Restore must go to the meter the capture came from.
+type MeterState struct{ s meterState }
 
 // Snapshot captures the meter's mutable state.
 func (m *Meter) Snapshot() MeterState {
-	return MeterState{
-		energyUJ: m.energyUJ,
-		lastW:    m.lastW,
-		tempC:    append([]float64(nil), m.tempC...),
-		limitW:   m.limitW,
-	}
+	s := m.meterState
+	s.tempC = snapshot.Refill(nil, s.tempC)
+	return MeterState{s}
 }
 
-// Restore rewinds the meter to the captured state.
-func (m *Meter) Restore(s MeterState) {
-	m.energyUJ = s.energyUJ
-	m.lastW = s.lastW
-	copy(m.tempC, s.tempC)
-	m.limitW = s.limitW
+// Restore rewinds the meter to the captured state, refilling its per-core
+// slice in place.
+func (m *Meter) Restore(c MeterState) {
+	c.s.tempC = snapshot.Refill(m.tempC, c.s.tempC)
+	m.meterState = c.s
 }
 
-// GovernorState is a point-in-time capture of a Governor.
-type GovernorState struct {
-	cur        []float64
-	kHz        []uint64
-	trans      []uint64
-	totalTrans uint64
-}
+// GovernorState is a point-in-time capture of a Governor, as MeterState
+// is of a Meter.
+type GovernorState struct{ s governorState }
 
 // Snapshot captures the governor's mutable state.
 func (g *Governor) Snapshot() GovernorState {
-	return GovernorState{
-		cur:        append([]float64(nil), g.cur...),
-		kHz:        append([]uint64(nil), g.kHz...),
-		trans:      append([]uint64(nil), g.trans...),
-		totalTrans: g.totalTrans,
-	}
+	c := GovernorState{g.governorState}
+	c.s.own(&governorState{})
+	return c
 }
 
-// Restore rewinds the governor to the captured state.
-func (g *Governor) Restore(s GovernorState) {
-	copy(g.cur, s.cur)
-	copy(g.kHz, s.kHz)
-	copy(g.trans, s.trans)
-	g.totalTrans = s.totalTrans
+// Restore rewinds the governor to the captured state, refilling its
+// per-core slices in place.
+func (g *Governor) Restore(c GovernorState) {
+	c.s.own(&g.governorState)
+	g.governorState = c.s
+}
+
+// own points s's slices at into's (refilled in place) or, into zero, fresh ones.
+func (s *governorState) own(into *governorState) {
+	s.cur = snapshot.Refill(into.cur, s.cur)
+	s.kHz = snapshot.Refill(into.kHz, s.kHz)
+	s.trans = snapshot.Refill(into.trans, s.trans)
 }

@@ -35,18 +35,25 @@ type Namespace struct {
 	// LastPower, and the thermal namespace's CoreTempC).
 	mu sync.Mutex
 
-	// Calibration toggle for the ablation study: when false, raw modeled
-	// energy is returned without Formula 3's rescaling.
-	calibrate bool
-
 	// rawSource reads the raw RAPL counters used for Formula 3
 	// calibration; it defaults to the host meter. A chaos harness swaps in
 	// a perturbed source (SetRawSource) to exercise the glitch-rejection
 	// path below.
 	rawSource func(power.Domain) uint64
 
+	namespaceState
+}
+
+// namespaceState is a Namespace's mutable state. The accounting advances
+// lazily on reads, so its cursor and every per-container account are world
+// state that must rewind with the kernel.
+type namespaceState struct {
+	// Calibration toggle for the ablation study: when false, raw modeled
+	// energy is returned without Formula 3's rescaling.
+	calibrate bool
+
 	lastUpdate float64
-	lastRaw    map[power.Domain]uint64
+	lastRaw    [4]uint64 // indexed by power.Domain
 	lastHostC  perfcount.Counters
 
 	containers map[string]*acct
@@ -56,7 +63,7 @@ type Namespace struct {
 type acct struct {
 	path   string
 	lastC  perfcount.Counters
-	energy map[power.Domain]float64 // accumulated µJ per domain
+	energy [4]float64 // accumulated µJ, indexed by power.Domain
 
 	// Budget enforcement state (budget.go).
 	budgetW   float64
@@ -66,14 +73,9 @@ type acct struct {
 
 // New creates a power-based namespace for the host using a trained model.
 func New(k *kernel.Kernel, model *Model) *Namespace {
-	ns := &Namespace{
-		k:          k,
-		model:      model,
-		calibrate:  true,
-		rawSource:  k.Meter().EnergyUJ,
-		lastRaw:    make(map[power.Domain]uint64, 3),
-		containers: make(map[string]*acct),
-	}
+	ns := &Namespace{k: k, model: model, rawSource: k.Meter().EnergyUJ}
+	ns.calibrate = true
+	ns.containers = make(map[string]*acct)
 	for _, d := range []power.Domain{power.Package, power.Core, power.DRAM} {
 		ns.lastRaw[d] = ns.rawSource(d)
 	}
@@ -109,9 +111,8 @@ func (ns *Namespace) Install(fs *pseudofs.FS) { fs.SetEnergyProvider(ns) }
 func (ns *Namespace) Register(cgroupPath string) {
 	c, _ := ns.k.Perf().Read(cgroupPath)
 	ns.containers[cgroupPath] = &acct{
-		path:   cgroupPath,
-		lastC:  c,
-		energy: map[power.Domain]float64{power.Package: 0, power.Core: 0, power.DRAM: 0},
+		path:  cgroupPath,
+		lastC: c,
 		// Snapshot cpuacct so the budget enforcer's first interval does
 		// not divide a lifetime counter by one interval.
 		lastCPUNS: ns.k.Cgroup(cgroupPath).CPUUsageNS,

@@ -1,55 +1,21 @@
 package powerns
 
-import (
-	"repro/internal/perfcount"
-	"repro/internal/power"
-)
+import "repro/internal/snapshot"
 
 // NamespaceState is a point-in-time capture of a Namespace for the world
-// snapshot machinery. The accounting is lazily advanced on reads, so its
-// cursor (lastUpdate, lastRaw, lastHostC) and every per-container account
-// are world state that must rewind with the kernel. rawSource is structural
-// (installed at world build) and is not captured.
+// snapshot machinery: its state struct plus every container account.
+// rawSource is structural (installed at world build) and is not captured.
 type NamespaceState struct {
-	calibrate  bool
-	lastUpdate float64
-	lastRaw    map[power.Domain]uint64
-	lastHostC  perfcount.Counters
-	containers map[string]acctSnap
-}
-
-type acctSnap struct {
-	lastC     perfcount.Counters
-	energy    map[power.Domain]float64
-	budgetW   float64
-	lastW     float64
-	lastCPUNS float64
+	s          namespaceState
+	containers snapshot.Table[string, acct]
 }
 
 // Snapshot captures the namespace's mutable state.
 func (ns *Namespace) Snapshot() *NamespaceState {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	s := &NamespaceState{
-		calibrate:  ns.calibrate,
-		lastUpdate: ns.lastUpdate,
-		lastRaw:    make(map[power.Domain]uint64, len(ns.lastRaw)),
-		lastHostC:  ns.lastHostC,
-		containers: make(map[string]acctSnap, len(ns.containers)),
-	}
-	for d, v := range ns.lastRaw {
-		s.lastRaw[d] = v
-	}
-	for path, a := range ns.containers {
-		e := make(map[power.Domain]float64, len(a.energy))
-		for d, v := range a.energy {
-			e[d] = v
-		}
-		s.containers[path] = acctSnap{
-			lastC: a.lastC, energy: e,
-			budgetW: a.budgetW, lastW: a.lastW, lastCPUNS: a.lastCPUNS,
-		}
-	}
+	s := &NamespaceState{s: ns.namespaceState, containers: snapshot.Capture(ns.containers, nil)}
+	s.s.containers = nil // captured whole in s.containers
 	return s
 }
 
@@ -59,30 +25,7 @@ func (ns *Namespace) Snapshot() *NamespaceState {
 func (ns *Namespace) Restore(s *NamespaceState) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	ns.calibrate = s.calibrate
-	ns.lastUpdate = s.lastUpdate
-	for d, v := range s.lastRaw {
-		ns.lastRaw[d] = v
-	}
-	ns.lastHostC = s.lastHostC
-	for path := range ns.containers {
-		if _, ok := s.containers[path]; !ok {
-			delete(ns.containers, path)
-		}
-	}
-	for path, snap := range s.containers {
-		a, ok := ns.containers[path]
-		if !ok {
-			a = &acct{path: path}
-			ns.containers[path] = a
-		}
-		a.lastC = snap.lastC
-		if a.energy == nil {
-			a.energy = make(map[power.Domain]float64, len(snap.energy))
-		}
-		for d, v := range snap.energy {
-			a.energy[d] = v
-		}
-		a.budgetW, a.lastW, a.lastCPUNS = snap.budgetW, snap.lastW, snap.lastCPUNS
-	}
+	st := s.s
+	st.containers = s.containers.Restore(ns.containers, nil)
+	ns.namespaceState = st
 }

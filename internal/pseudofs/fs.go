@@ -107,6 +107,16 @@ type FS struct {
 	k   *kernel.Kernel
 	lay *layout // shared and immutable; the path set never changes
 
+	fsState
+
+	// renders counts handler invocations (genuine pseudo-file renders).
+	// The incremental engine's "zero re-renders on an unmutated kernel"
+	// guarantee is asserted against this counter, not inferred.
+	renders atomic.Uint64
+}
+
+// fsState is an FS's mutable state.
+type fsState struct {
 	energy   EnergyProvider
 	thermal  ThermalProvider
 	injector Injector
@@ -124,11 +134,6 @@ type FS struct {
 	fsGen           uint64
 	replaceGen      []uint64
 	totalReplaceGen uint64
-
-	// renders counts handler invocations (genuine pseudo-file renders).
-	// The incremental engine's "zero re-renders on an unmutated kernel"
-	// guarantee is asserted against this counter, not inferred.
-	renders atomic.Uint64
 }
 
 // rawEnergy is the leaky default EnergyProvider.
@@ -172,12 +177,10 @@ func DefaultHardware() Hardware { return Hardware{HasRAPL: true, HasCoretemp: tr
 // a new FS at the shared layout of the host's hardware and core count.
 func Build(k *kernel.Kernel, hw Hardware) *FS {
 	cores := k.Options().Cores
-	return &FS{
-		k:       k,
-		lay:     layoutFor(layoutKey{hw: hw, cores: cores}),
+	return &FS{k: k, lay: layoutFor(layoutKey{hw: hw, cores: cores}), fsState: fsState{
 		energy:  rawEnergy{meter: k.Meter()},
 		thermal: rawThermal{meter: k.Meter(), cores: cores},
-	}
+	}}
 }
 
 // SetEnergyProvider swaps the RAPL read path; the power-based namespace

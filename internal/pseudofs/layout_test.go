@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/power"
+	"repro/internal/snapshot/snapshottest"
 )
 
 func TestFSesOfOneKeyShareLayout(t *testing.T) {
@@ -145,55 +146,50 @@ func TestMemoizedLayoutMatchesFresh(t *testing.T) {
 	}
 }
 
-// fsStateExempt lists the FS fields FSState deliberately does not capture,
-// each with the reason.
+// fsStateExempt lists the FS fields outside fsState, the state struct
+// Snapshot copies, each with the reason.
 var fsStateExempt = map[string]string{
-	"k":   "the kernel has its own snapshot (kernel.Snapshot), and an FS never swaps it",
-	"lay": "the layout is shared, immutable, and a pure function of the FS's key",
-}
-
-// uncaptured returns the fields of fsType that stateType has no field of
-// the same name for and exempt does not list.
-func uncaptured(fsType, stateType reflect.Type, exempt map[string]string) []string {
-	var out []string
-	for i := 0; i < fsType.NumField(); i++ {
-		name := fsType.Field(i).Name
-		_, captured := stateType.FieldByName(name)
-		_, exempted := exempt[name]
-		if !captured && !exempted {
-			out = append(out, name)
-		}
-	}
-	return out
+	"k":       "the kernel has its own snapshot (kernel.Snapshot), and an FS never swaps it",
+	"lay":     "the layout is shared, immutable, and a pure function of the FS's key",
+	"renders": "an atomic, which a struct copy may not copy; captured as FSState.renders",
 }
 
 // TestFSStateCapturesEveryFSField fails when a field is added to FS
-// without a place in FSState (so Snapshot/Restore would silently let it
-// escape) or an exemption saying why it needs none.
+// outside fsState (so Snapshot/Restore would silently let it escape)
+// without an exemption saying why it needs none.
 func TestFSStateCapturesEveryFSField(t *testing.T) {
-	fsType, stateType := reflect.TypeFor[FS](), reflect.TypeFor[FSState]()
-	if missing := uncaptured(fsType, stateType, fsStateExempt); len(missing) > 0 {
-		t.Errorf("FS fields not captured by FSState: %v", missing)
-	}
-	for name := range fsStateExempt {
-		if _, ok := fsType.FieldByName(name); !ok {
-			t.Errorf("exemption %q names no FS field", name)
-		}
+	if stray := snapshottest.Stray(reflect.TypeFor[FS](), "fsState", fsStateExempt); len(stray) > 0 {
+		t.Errorf("FS fields outside fsState and not exempt: %v", stray)
 	}
 }
 
 // TestFSStateGuardFires is the guard's own test: a struct with one field
-// more than FS must be reported, and FS itself without its exemptions.
+// more than FS must be reported.
 func TestFSStateGuardFires(t *testing.T) {
 	type grown struct {
 		FS
 		escaped uint64
 	}
-	state := reflect.TypeFor[FSState]()
-	if got := uncaptured(reflect.TypeFor[grown](), state, map[string]string{"FS": ""}); !slices.Equal(got, []string{"escaped"}) {
-		t.Errorf("guard reported %v for a struct with one uncaptured field, want [escaped]", got)
+	if got := snapshottest.Stray(reflect.TypeFor[grown](), "fsState", fsStateExempt); !slices.Equal(got, []string{"escaped"}) {
+		t.Errorf("guard reported %v for an FS with one uncaptured field, want [escaped]", got)
 	}
-	if got := uncaptured(reflect.TypeFor[FS](), state, nil); !slices.Equal(got, []string{"k", "lay"}) {
-		t.Errorf("guard without exemptions reported %v, want [k lay]", got)
+}
+
+// TestFSStateSharesNothing checks that a capture and the live FS share no
+// slice, right after Snapshot and after a Restore that followed another
+// Replace (which writes the override slots in place).
+func TestFSStateSharesNothing(t *testing.T) {
+	fs := Build(kernel.New(kernel.Options{Seed: 9}), DefaultHardware())
+	patched := func(dst []byte, _ View) ([]byte, error) { return append(dst, "patched\n"...), nil }
+	fs.Replace("/proc/uptime", patched)
+	s := fs.Snapshot()
+	for _, stage := range []string{"Snapshot", "Restore"} {
+		if stage == "Restore" {
+			fs.Replace("/proc/loadavg", patched)
+			fs.Restore(s)
+		}
+		if shared := snapshottest.Shared(fs.fsState, s.s); len(shared) > 0 {
+			t.Errorf("after %s the capture shares memory with the live FS: %v", stage, shared)
+		}
 	}
 }

@@ -1,46 +1,30 @@
 package pseudofs
 
-import "slices"
+import "repro/internal/snapshot"
 
-// FSState is a point-in-time capture of an FS's mutable surface for the
-// world snapshot machinery. The file *set* is the shared, immutable
-// layout, but handlers can be swapped (Replace), providers and injectors
-// installed, and the render/generation counters advance; all of that must
-// rewind so a restored world is indistinguishable from a freshly built
-// one, including to the incremental engine's epoch checks.
+// FSState is a point-in-time capture of an FS for the world snapshot
+// machinery: a copy of its state struct (swapped handlers, providers, the
+// injector and the engine's generation counters) plus the render counter,
+// so a restored FS is indistinguishable from a fresh one, including to the
+// incremental engine's epoch checks.
 type FSState struct {
-	override        []Handler
-	energy          EnergyProvider
-	thermal         ThermalProvider
-	injector        Injector
-	fsGen           uint64
-	replaceGen      []uint64
-	totalReplaceGen uint64
-	renders         uint64
+	s       fsState
+	renders uint64
 }
 
 // Snapshot captures the FS's mutable state.
 func (fs *FS) Snapshot() *FSState {
-	return &FSState{
-		override:        slices.Clone(fs.override),
-		energy:          fs.energy,
-		thermal:         fs.thermal,
-		injector:        fs.injector,
-		fsGen:           fs.fsGen,
-		replaceGen:      slices.Clone(fs.replaceGen),
-		totalReplaceGen: fs.totalReplaceGen,
-		renders:         fs.renders.Load(),
-	}
+	s := &FSState{s: fs.fsState, renders: fs.renders.Load()}
+	s.s.override = snapshot.Refill(nil, s.s.override)
+	s.s.replaceGen = snapshot.Refill(nil, s.s.replaceGen)
+	return s
 }
 
 // Restore rewinds the FS to the captured state.
 func (fs *FS) Restore(s *FSState) {
-	fs.override = slices.Clone(s.override)
-	fs.energy = s.energy
-	fs.thermal = s.thermal
-	fs.injector = s.injector
-	fs.fsGen = s.fsGen
-	fs.replaceGen = slices.Clone(s.replaceGen)
-	fs.totalReplaceGen = s.totalReplaceGen
+	st := s.s
+	st.override = snapshot.Refill(fs.override, st.override)
+	st.replaceGen = snapshot.Refill(fs.replaceGen, st.replaceGen)
+	fs.fsState = st
 	fs.renders.Store(s.renders)
 }

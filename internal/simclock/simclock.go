@@ -77,14 +77,20 @@ func (q *eventQueue) Pop() any {
 // and starts at time 0. Clock is not safe for concurrent use: Advance, Run,
 // At, and the registration methods must all be called from one goroutine.
 type Clock struct {
-	now     float64
-	tickers []Ticker
-	events  eventQueue
-	seq     int
+	clockState
 
+	// Ticker registrations are structural: rebuilt only with the world.
 	// shards[i] holds the tickers of shard i in registration order.
-	shards [][]Ticker
-	post   []Ticker
+	tickers []Ticker
+	shards  [][]Ticker
+	post    []Ticker
+}
+
+// clockState is a Clock's mutable state.
+type clockState struct {
+	now    float64
+	events eventQueue
+	seq    int
 }
 
 // New returns a Clock starting at t=0 seconds.

@@ -1,31 +1,23 @@
 package simclock
 
+import "repro/internal/snapshot"
+
 // ClockState is a point-in-time capture of a Clock for the world snapshot
-// machinery. Ticker registrations are structural (rebuilt only when a world
-// is rebuilt) and are not captured; the mutable state is the current time,
-// the event sequence counter, and the pending event queue. *event values
-// are immutable once pushed, so sharing them between the live queue and the
-// capture is safe — Pop only drops references, never mutates an event.
-type ClockState struct {
-	now    float64
-	seq    int
-	events []*event
-}
+// machinery: a copy of its state struct. Events are immutable once pushed
+// (Pop only drops references), so the capture shares them with the live
+// queue; the queue slice itself, a valid heap, is copied.
+type ClockState struct{ s clockState }
 
 // Snapshot captures the clock's mutable state.
 func (c *Clock) Snapshot() *ClockState {
-	return &ClockState{
-		now:    c.now,
-		seq:    c.seq,
-		events: append([]*event(nil), c.events...),
-	}
+	s := c.clockState
+	s.events = snapshot.Refill(nil, s.events)
+	return &ClockState{s}
 }
 
-// Restore rewinds the clock to the captured state. The restored queue is a
-// fresh copy in the captured heap order (heap order is a property of the
-// slice, so a copy of a valid heap is a valid heap).
+// Restore rewinds the clock to the captured state.
 func (c *Clock) Restore(s *ClockState) {
-	c.now = s.now
-	c.seq = s.seq
-	c.events = append(c.events[:0:0], s.events...)
+	st := s.s
+	st.events = snapshot.Refill(c.events, st.events)
+	c.clockState = st
 }
