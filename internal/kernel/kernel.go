@@ -89,7 +89,8 @@ func (o *Options) fillDefaults() {
 type Kernel struct {
 	// kernelState holds every mutable field; Snapshot is a copy of it
 	// (snapshot.go). What stays outside is fixed at New, a view into the
-	// state, a component with its own snapshot, an atomic, or scratch.
+	// state, a component with its own snapshot, a mutex, an atomic, or
+	// scratch.
 	kernelState
 
 	opts Options
