@@ -105,6 +105,7 @@ func goldenCases() []goldenCase {
 			return sprintln(experiments.ChaosSweep(ctx, nil, 1, w))
 		}},
 		{"pseudofs-surface", "pseudofs-surface", oneWorker, renderSurface},
+		{"leaksd-v1", "leaksd-v1", oneWorker, renderV1Golden},
 	}
 }
 
