@@ -113,7 +113,7 @@ bench-json:
 		-benchtime=10x -benchmem . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkV1ResultsHit(304)?$$|^BenchmarkServingLoad$$' \
 		-benchtime=200000x -benchmem . && \
-	$(GO) test -run '^$$' -bench '^BenchmarkV1ResultsCold$$' \
+	$(GO) test -run '^$$' -bench '^BenchmarkV1(Results|Scans)Cold$$' \
 		-benchtime=2000x -benchmem . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkClusterFleet$$' \
 		-benchtime=5x -benchmem . && \

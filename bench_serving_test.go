@@ -20,10 +20,12 @@ import (
 )
 
 // newServingHandler builds a leaksd handler over deterministic synthetic
-// state: one fabricated inspect result per provider.
-func newServingHandler(b *testing.B, disableCache bool) http.Handler {
+// state: jobs fabricated inspect results, cycling through the providers
+// (one per provider when jobs is the provider count) with a fresh seed
+// per lap, so every job is a distinct scan.
+func newServingHandler(b *testing.B, disableCache bool, jobs int) http.Handler {
 	b.Helper()
-	sched := service.New(service.Config{Workers: 2}, nil)
+	sched := service.New(service.Config{Workers: 2, QueueCap: jobs}, nil)
 	sched.SetRunner(func(_ context.Context, req service.ScanRequest) (*service.ScanResult, error) {
 		glyphs := []string{core.Available.String(), core.PartiallyAvailable.String(), core.Unavailable.String()}
 		channels := service.Channels()
@@ -39,8 +41,10 @@ func newServingHandler(b *testing.B, disableCache bool) http.Handler {
 		defer cancel()
 		_ = sched.Shutdown(ctx)
 	})
-	for _, name := range service.ProviderNames() {
-		if _, err := sched.Submit(service.ScanRequest{Kind: service.KindInspect, Provider: name}); err != nil {
+	providers := service.ProviderNames()
+	for i := range jobs {
+		req := service.ScanRequest{Kind: service.KindInspect, Provider: providers[i%len(providers)], Seed: int64(i / len(providers))}
+		if _, err := sched.Submit(req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,11 +87,11 @@ func (w *servingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// benchV1 drives one endpoint with a reusable request/writer pair.
-// revalidate sends If-None-Match with the warm response's ETag (the 304
-// path); disableCache measures the cold render.
-func benchV1(b *testing.B, target string, revalidate, disableCache bool) {
-	h := newServingHandler(b, disableCache)
+// benchV1 drives one endpoint with a reusable request/writer pair over a
+// history of jobs scans. revalidate sends If-None-Match with the warm
+// response's ETag (the 304 path); disableCache measures the cold render.
+func benchV1(b *testing.B, target string, jobs int, revalidate, disableCache bool) {
+	h := newServingHandler(b, disableCache, jobs)
 	req := httptest.NewRequest(http.MethodGet, target, nil)
 	w := &servingWriter{h: make(http.Header)}
 	h.ServeHTTP(w, req) // warm: populates the cache and the header map
@@ -116,21 +120,35 @@ func benchV1(b *testing.B, target string, revalidate, disableCache bool) {
 // BenchmarkV1ResultsHit is the zero-allocation contract: a steady-state
 // /v1/results cache hit must not allocate (gated at 0 allocs/op by
 // `make bench-guard`).
-func BenchmarkV1ResultsHit(b *testing.B) { benchV1(b, "/v1/results?limit=50", false, false) }
+func BenchmarkV1ResultsHit(b *testing.B) {
+	benchV1(b, "/v1/results?limit=50", len(service.ProviderNames()), false, false)
+}
 
 // BenchmarkV1ResultsHit304 is the revalidation path: matching
 // If-None-Match answers 304 without touching the body.
-func BenchmarkV1ResultsHit304(b *testing.B) { benchV1(b, "/v1/results?limit=50", true, false) }
+func BenchmarkV1ResultsHit304(b *testing.B) {
+	benchV1(b, "/v1/results?limit=50", len(service.ProviderNames()), true, false)
+}
 
 // BenchmarkV1ResultsCold renders every response fresh (-respcache=false):
 // the baseline the cache is measured against.
-func BenchmarkV1ResultsCold(b *testing.B) { benchV1(b, "/v1/results?limit=50", false, true) }
+func BenchmarkV1ResultsCold(b *testing.B) {
+	benchV1(b, "/v1/results?limit=50", len(service.ProviderNames()), false, true)
+}
+
+// BenchmarkV1ScansCold renders the paged, verdict-filtered scans list
+// fresh on every request over a 2,000-job history: the /v1/scans read
+// leaksd clients poll, on the path every scan's cache invalidation sends
+// it down.
+func BenchmarkV1ScansCold(b *testing.B) {
+	benchV1(b, "/v1/scans?limit=10&offset=0&verdict=available", 2000, false, true)
+}
 
 // BenchmarkServingLoad drives the default leaksload mix closed-loop
 // through internal/loadgen and reports the measured p99 and sustained
 // throughput; `make bench-guard` gates the p99.
 func BenchmarkServingLoad(b *testing.B) {
-	h := newServingHandler(b, false)
+	h := newServingHandler(b, false, len(service.ProviderNames()))
 	cfg := loadgen.Config{
 		Mix: []loadgen.Endpoint{
 			{Path: "/v1/results", Weight: 6},
