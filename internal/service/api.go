@@ -237,12 +237,15 @@ type errorEnvelope struct {
 	Error errorBody `json:"error"`
 }
 
+// writeJSON writes v with encodeJSON, the one JSON layout of every leaksd
+// body. As with the json.Encoder it replaced, a value that fails to encode
+// leaves the body empty after the status line.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if body, err := encodeJSON(v); err == nil {
+		_, _ = w.Write(body)
+	}
 }
 
 // writeError emits the legacy flat error shape.

@@ -188,22 +188,85 @@ func (ce *cachedEndpoint) finish(w http.ResponseWriter, e *respcache.Entry, ifNo
 // encodes, copies the bytes out for the cache entry, and returns it — the
 // render.go pooling pattern from internal/pseudofs applied to the API
 // layer.
-var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var encBufPool = sync.Pool{New: func() any { return new(encBuf) }}
 
-// encodeJSON renders v exactly as writeJSON does — two-space indent,
-// trailing newline — into a standalone byte slice a cache entry can own.
+// encBuf holds one render's compact encoding and its indented layout.
+type encBuf struct {
+	compact  bytes.Buffer
+	indented []byte
+}
+
+// encodeJSON renders v as every leaksd JSON body is written — the bytes a
+// json.Encoder indenting by two spaces gives, trailing newline included —
+// into a standalone byte slice a cache entry can own. The encoder runs
+// compact (escaping HTML as before) and appendIndent lays the result out,
+// which skips the encoder's validating re-scan of every byte.
 func encodeJSON(v any) ([]byte, error) {
-	buf := encBufPool.Get().(*bytes.Buffer)
+	buf := encBufPool.Get().(*encBuf)
 	defer func() {
-		buf.Reset()
+		buf.compact.Reset()
 		encBufPool.Put(buf)
 	}()
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(&buf.compact).Encode(v); err != nil {
 		return nil, err
 	}
-	return append([]byte(nil), buf.Bytes()...), nil
+	buf.indented = appendIndent(buf.indented[:0], buf.compact.Bytes())
+	return append([]byte(nil), buf.indented...), nil
+}
+
+// indentSpaces backs the two-space indent of one line; deeper lines take
+// it in several appends.
+const indentSpaces = "                                                                "
+
+// appendIndent appends src, which must be compact JSON as encoding/json
+// writes it (no whitespace outside strings; Marshaler and RawMessage
+// output is compacted by the encoder), laid out the way json.Indent(dst,
+// src, "", "  ") lays it out: a newline and the indent after each opening
+// bracket and comma and before each closing bracket, a space after each
+// colon, and empty objects and arrays left as {} and []. Input is not
+// validated; strings are copied verbatim, with the byte after each
+// backslash skipped over so an escaped quote does not end one.
+func appendIndent(dst, src []byte) []byte {
+	depth := 0
+	run := 0 // start of the bytes not yet copied to dst
+	for i := 0; i < len(src); i++ {
+		switch src[i] {
+		case '"':
+			for i++; i < len(src) && src[i] != '"'; i++ {
+				if src[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			if i+1 < len(src) && (src[i+1] == '}' || src[i+1] == ']') {
+				i++
+				continue
+			}
+			depth++
+			dst = appendNewline(append(dst, src[run:i+1]...), depth)
+			run = i + 1
+		case ',':
+			dst = appendNewline(append(dst, src[run:i+1]...), depth)
+			run = i + 1
+		case ':':
+			dst = append(append(dst, src[run:i+1]...), ' ')
+			run = i + 1
+		case '}', ']':
+			depth--
+			dst = appendNewline(append(dst, src[run:i]...), depth)
+			run = i
+		}
+	}
+	return append(dst, src[run:]...)
+}
+
+// appendNewline appends a newline and depth levels of indent.
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for n := 2 * depth; n > 0; n -= len(indentSpaces) {
+		dst = append(dst, indentSpaces[:min(n, len(indentSpaces))]...)
+	}
+	return dst
 }
 
 // renderScans is the cold render behind GET /v1/scans: filter, then
