@@ -181,7 +181,7 @@ func (q Query) Window(n int) (lo, hi int) {
 	}
 	lo = q.Offset
 	hi = n
-	if q.Limit >= 0 && lo+q.Limit < n {
+	if q.Limit >= 0 && q.Limit < n-lo { // lo+Limit could overflow
 		hi = lo + q.Limit
 	}
 	return lo, hi

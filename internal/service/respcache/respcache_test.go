@@ -2,6 +2,7 @@ package respcache
 
 import (
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -99,6 +100,7 @@ func TestQueryWindow(t *testing.T) {
 		{Query{Limit: 0}, 5, 0, 0},
 		{Query{Limit: NoLimit, Offset: 5}, 5, 5, 5},
 		{Query{Limit: NoLimit, Offset: 99}, 5, 5, 5},
+		{Query{Limit: math.MaxInt, Offset: 2}, 5, 2, 5},
 	}
 	for _, tc := range cases {
 		lo, hi := tc.q.Window(tc.n)

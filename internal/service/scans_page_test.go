@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/service/respcache"
@@ -68,6 +69,7 @@ func TestRenderScansMatchesFullCopyOracle(t *testing.T) {
 					for _, w := range []struct{ limit, offset int }{
 						{respcache.NoLimit, 0}, {0, 0}, {1, 0}, {10, 0}, {5, 3},
 						{respcache.NoLimit, 4}, {3, n - 1}, {10, n}, {2, n + 5},
+						{math.MaxInt, 2}, {1, math.MaxInt},
 					} {
 						q := respcache.Query{Provider: provider, Runtime: runtime, Verdict: verdict, Limit: w.limit, Offset: max(w.offset, 0)}
 						got, gotTotal, err := a.renderScans(q)

@@ -162,7 +162,7 @@ type Scheduler struct {
 
 	mu                    sync.Mutex
 	jobs                  map[string]*Job
-	order                 []string
+	order                 []*Job // jobs in submission order
 	seq                   int
 	lastAvail             map[string]string // provider\x00channel → availability
 	latest                map[string]*ProviderVerdicts
@@ -327,7 +327,7 @@ func (s *Scheduler) newJob(req ScanRequest, name string) *Job {
 		SubmittedAt: s.cfg.Now(),
 	}
 	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
+	s.order = append(s.order, job)
 	s.jobsEpoch.Add(1)
 	return job
 }
@@ -556,38 +556,33 @@ func (s *Scheduler) Jobs() []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, *s.jobs[id])
+	for _, j := range s.order {
+		out = append(out, *j)
 	}
 	return out
 }
 
-// JobsPage filters the job history under the scheduler lock and copies
-// out only one page of it: the window [lo, hi) that window picks from the
-// matching jobs, in submission order, plus how many jobs match. A page
-// costs the same allocations however long the history is.
-func (s *Scheduler) JobsPage(match func(*Job) bool, window func(total int) (lo, hi int)) ([]Job, int) {
+// JobsPage filters the job history under the scheduler lock in one walk:
+// it counts the matching jobs and copies out only those at match ranks
+// [offset, offset+limit) in submission order (limit < 0: every rank from
+// offset on), the window respcache.Query.Window picks from the matches. A
+// page costs the same allocations however long the history is.
+func (s *Scheduler) JobsPage(match func(*Job) bool, offset, limit int) ([]Job, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	total := 0
-	for _, id := range s.order {
-		if match(s.jobs[id]) {
-			total++
-		}
+	out := []Job{}
+	if limit >= 0 {
+		out = make([]Job, 0, min(limit, max(len(s.order)-offset, 0)))
 	}
-	lo, hi := window(total)
-	out := make([]Job, 0, hi-lo)
-	i := 0
-	for _, id := range s.order {
-		if len(out) == hi-lo {
-			break
+	total := 0
+	for _, j := range s.order {
+		if !match(j) {
+			continue
 		}
-		if j := s.jobs[id]; match(j) {
-			if i >= lo {
-				out = append(out, *j)
-			}
-			i++
+		if total >= offset && (limit < 0 || total-offset < limit) {
+			out = append(out, *j)
 		}
+		total++
 	}
 	return out, total
 }

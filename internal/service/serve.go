@@ -278,7 +278,7 @@ func (a *api) renderScans(q respcache.Query) ([]byte, int, error) {
 		return (q.Provider == "" || j.Request.Provider == q.Provider) &&
 			(q.Runtime == "" || j.Request.Runtime == q.Runtime) &&
 			(q.Verdict == "" || jobHasVerdict(j, q.Verdict))
-	}, q.Window)
+	}, q.Offset, q.Limit)
 	body, err := encodeJSON(struct {
 		Scans []Job `json:"scans"`
 	}{Scans: page})
