@@ -33,13 +33,13 @@ race:
 	$(GO) test -race ./...
 
 # Every Fuzz* target in the module, one after another (go test runs one
-# fuzz target per invocation), 10 s each. New inputs that fail land in
+# fuzz target per invocation), 30 s each. New inputs that fail land in
 # the package's testdata/fuzz/ as regression seeds.
 fuzz:
 	@set -e; for dir in $$($(GO) list -f '{{.Dir}}' ./...); do \
 		for f in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$dir/*_test.go 2>/dev/null); do \
 			echo "fuzz $$f ($$dir)"; \
-			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s $$dir; \
+			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 30s $$dir; \
 		done; \
 	done
 
