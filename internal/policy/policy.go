@@ -3,6 +3,7 @@ package policy
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -97,14 +98,18 @@ func (p Policy) Encode() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Decode parses a policy from its JSON form, rejecting unknown fields so a
-// typo'd hand-written policy fails loudly instead of silently no-opping.
+// Decode parses a policy from its JSON form, rejecting unknown fields and
+// anything after the policy object so a typo'd or concatenated
+// hand-written policy fails loudly instead of silently no-opping.
 func Decode(data []byte) (Policy, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var p Policy
 	if err := dec.Decode(&p); err != nil {
 		return Policy{}, fmt.Errorf("policy: decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Policy{}, fmt.Errorf("policy: decode: data after the policy object")
 	}
 	if _, err := p.PseudoRules(); err != nil {
 		return Policy{}, err

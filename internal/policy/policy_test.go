@@ -139,6 +139,9 @@ func TestDecodeRejectsBadPolicies(t *testing.T) {
 	if _, err := Decode([]byte(`{"provider":"x","rules":[{"pattern":"","action":"deny"}]}`)); err == nil {
 		t.Fatal("empty pattern accepted")
 	}
+	if _, err := Decode([]byte(`{"provider":"x","rules":[]}` + "\n" + `{"provider":"y","rules":[{"pattern":"/proc/stat","action":"explode"}]}`)); err == nil {
+		t.Fatal("second, invalid policy after the first accepted")
+	}
 }
 
 func TestMineBenign(t *testing.T) {
