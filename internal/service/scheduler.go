@@ -570,7 +570,7 @@ func (s *Scheduler) Jobs() []Job {
 func (s *Scheduler) JobsPage(match func(*Job) bool, offset, limit int) ([]Job, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := []Job{}
+	out := []Job{} // never nil: an empty page encodes as [], not null
 	if limit >= 0 {
 		out = make([]Job, 0, min(limit, max(len(s.order)-offset, 0)))
 	}
