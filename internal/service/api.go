@@ -238,8 +238,8 @@ type errorEnvelope struct {
 }
 
 // writeJSON writes v with encodeJSON, the one JSON layout of every leaksd
-// body. As with the json.Encoder it replaced, a value that fails to encode
-// leaves the body empty after the status line.
+// body. A value that fails to encode leaves the body empty after the
+// status line.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -198,9 +198,9 @@ type encBuf struct {
 
 // encodeJSON renders v as every leaksd JSON body is written — the bytes a
 // json.Encoder indenting by two spaces gives, trailing newline included —
-// into a standalone byte slice a cache entry can own. The encoder runs
-// compact (escaping HTML as before) and appendIndent lays the result out,
-// which skips the encoder's validating re-scan of every byte.
+// into a standalone byte slice a cache entry can own. The encoder writes
+// compact, HTML-escaped JSON and appendIndent lays it out in one pass,
+// without json.Indent's validating re-scan of every byte.
 func encodeJSON(v any) ([]byte, error) {
 	buf := encBufPool.Get().(*encBuf)
 	defer func() {
