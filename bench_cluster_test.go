@@ -16,12 +16,15 @@ package repro
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/service"
 )
 
 // benchFleetContainers keeps total scan work identical across worker
@@ -76,56 +79,104 @@ func TestClusterScaling(t *testing.T) {
 	}
 }
 
+// BenchmarkClusterFleet scans through the in-process transport at 1, 2
+// and 4 workers, and at 2 workers over HTTP ("http/workers=2"): an
+// HTTPTransport whose client reaches each worker's leaksd handler through
+// an in-memory RoundTripper, so the scan also pays the JSON request, the
+// binary shard-result encoding and the coordinator's reply read, without
+// sockets.
 func BenchmarkClusterFleet(b *testing.B) {
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
-			spec := cluster.Spec{Provider: "local", Containers: benchFleetContainers}
-			// Per-worker replicas — the deployment topology, and the one
-			// that scales: each worker validates its shards on its own
-			// engine. (A SharedWorlds single engine serializes on shared
-			// caches; replica clock advances cost microseconds, so
-			// duplicating them is free.) Replicas are built outside the
-			// timer: the benchmark measures scan fan-out, not world
-			// construction.
-			workers := make([]*cluster.Worker, n)
-			ids := make([]string, n)
-			replicas := make([]*cluster.FleetWorld, n)
-			for i := range workers {
-				ids[i] = fmt.Sprintf("w%d", i)
-				worlds := cluster.NewLocalWorlds(1)
-				w, err := worlds.Fleet(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				replicas[i] = w
-				workers[i] = cluster.NewWorker(ids[i], worlds)
-			}
-			coord := cluster.NewCoordinator(cluster.Config{ShardSize: benchShardSize},
-				cluster.NewInProc(workers...), ids, cluster.NewMetrics(nil))
-			// renders/op is every replica's pseudo-file renders per scan:
-			// the engine pass's render work, independent of timer noise.
-			renders := func() (sum uint64) {
-				for _, w := range replicas {
-					sum += w.Renders()
-				}
-				return sum
-			}
-			before := renders()
-
-			tick := float64(cluster.DefaultTick)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tick++ // dirty the world: every scan re-renders changed subsystems
-				spec.Tick = tick
-				res, err := coord.Scan(context.Background(), spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Partial || len(res.Findings) != benchFleetContainers {
-					b.Fatalf("iteration %d: partial=%v findings=%d", i, res.Partial, len(res.Findings))
-				}
-			}
-			b.ReportMetric(float64(renders()-before)/float64(b.N), "renders/op")
+			benchClusterFleet(b, n, func(workers []*cluster.Worker) cluster.Transport {
+				return cluster.NewInProc(workers...)
+			})
 		})
 	}
+	b.Run("http/workers=2", func(b *testing.B) {
+		benchClusterFleet(b, 2, func(workers []*cluster.Worker) cluster.Transport {
+			handlers := make(map[string]http.Handler, len(workers))
+			ids := make([]string, len(workers))
+			for i, w := range workers {
+				sched := service.New(service.Config{}, nil) // never started: workers only serve shards
+				handlers[w.ID()] = service.NewHandler(service.APIConfig{
+					Scheduler: sched,
+					Cluster:   cluster.NewWorkerNode(w),
+				})
+				ids[i] = w.ID()
+			}
+			// A bare ID is its own base URL's host ("w0" → http://w0).
+			return cluster.NewHTTPTransport(ids, &http.Client{Transport: memRoundTripper(handlers)})
+		})
+	})
+}
+
+// benchClusterFleet scans a benchFleetContainers fleet on n workers
+// reached through the transport newTransport builds over them.
+func benchClusterFleet(b *testing.B, n int, newTransport func([]*cluster.Worker) cluster.Transport) {
+	spec := cluster.Spec{Provider: "local", Containers: benchFleetContainers}
+	// Per-worker replicas — the deployment topology, and the one that
+	// scales: each worker validates its shards on its own engine. (A
+	// SharedWorlds single engine serializes on shared caches; replica
+	// clock advances cost microseconds, so duplicating them is free.)
+	// Replicas are built outside the timer: the benchmark measures scan
+	// fan-out, not world construction.
+	workers := make([]*cluster.Worker, n)
+	ids := make([]string, n)
+	replicas := make([]*cluster.FleetWorld, n)
+	for i := range workers {
+		ids[i] = fmt.Sprintf("w%d", i)
+		worlds := cluster.NewLocalWorlds(1)
+		w, err := worlds.Fleet(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		replicas[i] = w
+		workers[i] = cluster.NewWorker(ids[i], worlds)
+	}
+	coord := cluster.NewCoordinator(cluster.Config{ShardSize: benchShardSize},
+		newTransport(workers), ids, cluster.NewMetrics(nil))
+	// renders/op is every replica's pseudo-file renders per scan: the
+	// engine pass's render work, independent of timer noise.
+	renders := func() (sum uint64) {
+		for _, w := range replicas {
+			sum += w.Renders()
+		}
+		return sum
+	}
+	before := renders()
+
+	tick := float64(cluster.DefaultTick)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick++ // dirty the world: every scan re-renders changed subsystems
+		spec.Tick = tick
+		res, err := coord.Scan(context.Background(), spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Partial || len(res.Findings) != benchFleetContainers {
+			b.Fatalf("iteration %d: partial=%v findings=%d", i, res.Partial, len(res.Findings))
+		}
+	}
+	b.ReportMetric(float64(renders()-before)/float64(b.N), "renders/op")
+}
+
+// memRoundTripper serves each request with the handler of its URL host,
+// in process.
+type memRoundTripper map[string]http.Handler
+
+func (m memRoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
+	h, ok := m[req.URL.Host]
+	if !ok {
+		return nil, fmt.Errorf("no in-memory handler for host %q", req.URL.Host)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	res := rec.Result()
+	res.Request = req
+	return res, nil
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -514,4 +516,92 @@ func statusOf(t *testing.T, c *Coordinator, id string) WorkerStatus {
 	}
 	t.Fatalf("worker %s not in status", id)
 	return WorkerStatus{}
+}
+
+// TestContainerNameMatchesFormat pins ContainerName to its documented
+// form, "tenant-" and the index zero-padded to five digits.
+func TestContainerNameMatchesFormat(t *testing.T) {
+	for _, i := range []int{0, 1, 9, 10, 99, 100, 4242, 9999, 10000, 54321, 99999, 100000, 1234567, math.MaxInt} {
+		if got, want := ContainerName(i), fmt.Sprintf("tenant-%05d", i); got != want {
+			t.Fatalf("ContainerName(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// sameLayout reports whether two partitions hold the same shards: index,
+// containers and failover walk, in order.
+func sameLayout(a, b []*shardState) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].idx != b[i].idx || !slices.Equal(a[i].containers, b[i].containers) || !slices.Equal(a[i].seq, b[i].seq) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPartitionMemoMatchesFresh: the memoized layout equals a freshly
+// computed one for every (provider, fleet size, ShardSize) visited, also
+// when the specs alternate, and a spec differing only in seed or tick
+// reuses it.
+func TestPartitionMemoMatchesFresh(t *testing.T) {
+	for _, size := range []int{1, 3, 32} {
+		cfg := testConfig()
+		cfg.ShardSize = size
+		coord, _ := newInProcCluster(t, 3, cfg)
+		specs := []Spec{
+			{Provider: "local", Containers: 7},
+			{Provider: "cc5", Containers: 7},
+			{Provider: "local", Containers: 40},
+			{Provider: "local", Containers: 7, Seed: 9, Tick: 45},
+			{Containers: 1},
+		}
+		for round := 0; round < 2; round++ {
+			for _, spec := range specs {
+				fresh := NewCoordinator(cfg, nil, coord.ring.Workers(), nil).partition(spec)
+				for _, got := range [][]*shardState{coord.partition(spec), coord.partition(spec)} {
+					if !sameLayout(got, fresh) {
+						t.Fatalf("ShardSize %d, spec %+v: memoized layout differs from a fresh one", size, spec)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPartitionSharesNoMutableState: two scans' shards are distinct
+// shardStates; dispatching one (attempts, requeues, walk position, result)
+// leaves the other and the memoized layout as they were.
+func TestPartitionSharesNoMutableState(t *testing.T) {
+	cfg := testConfig()
+	cfg.ShardSize = 2
+	coord, _ := newInProcCluster(t, 3, cfg)
+	spec := Spec{Provider: "local", Containers: 9}
+	first := coord.partition(spec)
+	for _, sh := range first {
+		sh.attempts, sh.requeues, sh.reassigned, sh.seqPos = 3, 2, 1, 1
+		sh.status, sh.err, sh.result = ShardFailed, errors.New("lost"), &ShardResult{}
+	}
+	second := coord.partition(spec)
+	for i, sh := range second {
+		if sh == first[i] {
+			t.Fatalf("shard %d: two scans got the same shardState", i)
+		}
+		if sh.attempts != 0 || sh.requeues != 0 || sh.reassigned != 0 || sh.seqPos != 0 ||
+			sh.status != "" || sh.err != nil || sh.result != nil || sh.idx != i {
+			t.Fatalf("shard %d: second scan starts from another scan's state %+v", i, *sh)
+		}
+	}
+	if fresh := NewCoordinator(cfg, nil, coord.ring.Workers(), nil).partition(spec); !sameLayout(second, fresh) {
+		t.Fatal("dispatch state of one scan changed the memoized layout")
+	}
+	// A whole scan over the memoized layout still lands every shard.
+	for range 2 {
+		res, err := coord.Scan(context.Background(), spec)
+		if err != nil || res.Partial {
+			t.Fatalf("scan over the memoized layout: err=%v partial=%v", err, res != nil && res.Partial)
+		}
+	}
 }

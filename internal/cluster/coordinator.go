@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -191,6 +192,7 @@ type Coordinator struct {
 
 	scanMu  sync.Mutex // serializes fleet scans: replica clocks only move forward
 	scanSeq atomic.Uint64
+	layout  atomic.Pointer[shardLayout] // the last scan's, read-only
 
 	scans         atomic.Uint64
 	shardsDone    atomic.Uint64
@@ -360,8 +362,8 @@ func (c *Coordinator) Status() Status {
 // shardState is one shard's mutable dispatch state within a scan.
 type shardState struct {
 	idx        int
-	containers []int
-	seq        []string // deterministic failover order (ring walk)
+	containers []int    // shared with the memoized layout, read-only
+	seq        []string // deterministic failover order (ring walk); shared, read-only
 	seqPos     int      // index into seq of the worker currently holding it
 	attempts   int
 	requeues   int
@@ -375,13 +377,42 @@ type shardState struct {
 // worker returns the shard's current worker.
 func (sh *shardState) worker() string { return sh.seq[sh.seqPos%len(sh.seq)] }
 
-// partition computes the scan's shard layout: containers hash onto the
-// ring by (provider, mount name), per-worker batches keep fleet order, and
-// each batch is chunked into shards of at most ShardSize. The layout is a
-// pure function of (spec, worker set, ShardSize) — the differential suite
-// exploits that to sweep layouts.
+// shardLayout is a scan's shard layout: each shard's index, containers
+// and failover walk, in shardStates whose dispatch fields are all zero.
+// It is read-only once built, so every scan of the same (provider,
+// containers) copies its shards and keeps its own dispatch state.
+type shardLayout struct {
+	provider   string
+	containers int
+	shards     []shardState
+}
+
+// partition returns the scan's shards in fresh dispatch state, over the
+// memoized layout when the last scan had the same provider and fleet
+// size.
 func (c *Coordinator) partition(spec Spec) []*shardState {
 	spec = spec.Normalize()
+	l := c.layout.Load()
+	if l == nil || l.provider != spec.Provider || l.containers != spec.Containers {
+		l = c.computeLayout(spec)
+		c.layout.Store(l)
+	}
+	states := slices.Clone(l.shards)
+	shards := make([]*shardState, len(states))
+	for i := range states {
+		shards[i] = &states[i]
+	}
+	return shards
+}
+
+// computeLayout computes the shard layout of a normalized spec: containers
+// hash onto the ring by (provider, mount name), per-worker batches keep
+// fleet order, and each batch is chunked into shards of at most
+// ShardSize. The layout is a pure function of (spec, worker set,
+// ShardSize); the ring and ShardSize are fixed for the coordinator's
+// life, so partition memoizes it by provider and fleet size, and the
+// differential suite exploits it to sweep layouts.
+func (c *Coordinator) computeLayout(spec Spec) *shardLayout {
 	byWorker := make(map[string][]int)
 	for i := 0; i < spec.Containers; i++ {
 		key := spec.Provider + "|" + ContainerName(i)
@@ -393,28 +424,25 @@ func (c *Coordinator) partition(spec Spec) []*shardState {
 		workers = append(workers, w)
 	}
 	sort.Strings(workers)
-	var shards []*shardState
+	l := &shardLayout{provider: spec.Provider, containers: spec.Containers}
 	for _, w := range workers {
 		batch := byWorker[w]
 		for len(batch) > 0 {
-			n := c.cfg.ShardSize
-			if n > len(batch) {
-				n = len(batch)
-			}
-			chunk := batch[:n]
+			n := min(c.cfg.ShardSize, len(batch))
+			chunk := batch[:n:n]
 			batch = batch[n:]
 			// The shard inherits its first container's failover walk; all
 			// its containers map to the same owner, so the walk starts at
 			// that owner by construction.
 			key := spec.Provider + "|" + ContainerName(chunk[0])
-			shards = append(shards, &shardState{
-				idx:        len(shards),
+			l.shards = append(l.shards, shardState{
+				idx:        len(l.shards),
 				containers: chunk,
 				seq:        c.ring.Sequence(key),
 			})
 		}
 	}
-	return shards
+	return l
 }
 
 // Scan runs one clustered fleet scan: partition, dispatch with failure

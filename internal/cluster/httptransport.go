@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -103,7 +104,14 @@ func (t *HTTPTransport) do(ctx context.Context, workerID, method, path string, b
 		return fmt.Errorf("%w: %s: %s %s: %s", ErrWorkerDown, workerID, path,
 			resp.Status, strings.TrimSpace(string(msg)))
 	}
-	b, err := io.ReadAll(io.LimitReader(resp.Body, MaxMessageBytes+1))
+	var b []byte
+	if n := resp.ContentLength; n >= 0 && n <= MaxMessageBytes {
+		buf := replyPool.Get().(*[]byte)
+		defer replyPool.Put(buf)
+		b, err = readDeclared(resp.Body, buf, int(n))
+	} else {
+		b, err = io.ReadAll(io.LimitReader(resp.Body, MaxMessageBytes+1))
+	}
 	if err != nil {
 		return fmt.Errorf("%w: %s: read %s: %v", ErrWorkerDown, workerID, path, err)
 	}
@@ -114,6 +122,33 @@ func (t *HTTPTransport) do(ctx context.Context, workerID, method, path string, b
 		return fmt.Errorf("%w: %s: decode %s: %v", ErrWorkerDown, workerID, path, err)
 	}
 	return nil
+}
+
+// replyPool recycles the buffers replies with a declared length are read
+// into. Neither decoder keeps its input, so a buffer goes back as soon as
+// its reply is decoded.
+var replyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readDeclared reads a body that declares n bytes into *buf, growing it
+// as needed, and returns the n bytes. It asks for one byte more than
+// declared: a body of exactly n bytes ends one byte short of that, so a
+// single ReadFull tells it from a longer or a shorter body, both errors.
+func readDeclared(body io.Reader, buf *[]byte, n int) ([]byte, error) {
+	if cap(*buf) < n+1 {
+		*buf = make([]byte, n+1)
+	}
+	b := (*buf)[:n+1]
+	got, err := io.ReadFull(body, b)
+	switch {
+	case got == n && (err == io.ErrUnexpectedEOF || err == io.EOF):
+		return b[:n], nil
+	case got > n:
+		return nil, fmt.Errorf("reply longer than its Content-Length of %d bytes", n)
+	case err == io.ErrUnexpectedEOF || err == io.EOF:
+		return nil, fmt.Errorf("reply of %d bytes, short of its Content-Length of %d", got, n)
+	default:
+		return nil, err
+	}
 }
 
 // ExecShard implements Transport. The request is JSON; the reply is the

@@ -3,33 +3,46 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/cloud"
 )
 
-// FuzzShardRequest decodes a shard request body the way the worker's
-// POST /v1/cluster/shards handler does (strict JSON, unknown fields
-// rejected), then validates its spec. Invariants: no panic; Normalize is
-// idempotent; specs that differ only in Tick name the same world replica;
-// a spec that passes Validate has at least one container and a known
-// provider.
+// FuzzShardRequest decodes a shard request body with DecodeShardRequest,
+// as the worker's POST /v1/cluster/shards handler does (strict JSON,
+// unknown fields and trailing data rejected), then validates its spec.
+// Invariants: no panic; Normalize is idempotent; specs that differ only in
+// Tick name the same world replica; a spec that passes Validate has at
+// least one container and a known provider; an accepted body followed by
+// a second value is rejected; an accepted body re-encodes to a request
+// that decodes to the same value.
 func FuzzShardRequest(f *testing.F) {
 	f.Add([]byte(`{"scan_id":"s1","shard":0,"spec":{"provider":"local","containers":4,"tick":31},"containers":[0,1,2,3],"workers":2}`))
 	f.Add([]byte(`{"spec":{"provider":"cc5","seed":-7,"containers":1},"containers":[0]}`))
 	f.Add([]byte(`{"spec":{"containers":0,"tick":-3}}`))
 	f.Add([]byte(`{"spec":{"provider":"nope","containers":2}}`))
 	f.Add([]byte(`{"spec":{"containers":2},"extra":true}`))
+	f.Add([]byte(`{"spec":{"containers":1}}{"spec":{"containers":2}}`))
 	f.Add([]byte(`{"spec":{"containers":1e400}}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req ShardRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		req, err := DecodeShardRequest(bytes.NewReader(body))
+		if err != nil {
 			return
+		}
+		if _, err := DecodeShardRequest(bytes.NewReader(append(body[:len(body):len(body)], "{}"...))); err == nil {
+			t.Fatalf("body followed by a second value accepted")
+		}
+		enc, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("re-encode accepted request: %v", err)
+		}
+		again, err := DecodeShardRequest(bytes.NewReader(enc))
+		if err != nil || !reflect.DeepEqual(again, req) {
+			t.Fatalf("re-encoded request %s decodes to %+v, %v; want %+v", enc, again, err, req)
 		}
 		valid := req.Spec.Validate() == nil
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/cloud"
@@ -77,10 +78,16 @@ func (s Spec) worldKey() Spec {
 	return n
 }
 
-// ContainerName returns the deterministic name of fleet container i — the
-// identity both the world builder and the partitioner hash, so the ring
-// key of a container never depends on having the world in memory.
-func ContainerName(i int) string { return fmt.Sprintf("tenant-%05d", i) }
+// ContainerName returns the deterministic name of fleet container i >= 0,
+// "tenant-" and i zero-padded to five digits — the identity both the world
+// builder and the partitioner hash, so the ring key of a container never
+// depends on having the world in memory.
+func ContainerName(i int) string {
+	const padded = "tenant-00000"
+	var b [20]byte
+	digits := strconv.AppendInt(b[:0], int64(i), 10)
+	return padded[:max(len("tenant-"), len(padded)-len(digits))] + string(digits)
+}
 
 // FleetWorld is one deterministic fleet replica: a single-server
 // datacenter, Containers tenant containers, and an incremental engine over

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -49,14 +51,16 @@ const findingSize = 1 + 1 + 8
 
 // AppendShardResult appends the binary encoding of r to dst.
 func AppendShardResult(dst []byte, r *ShardResult) []byte {
-	idx := make(map[string]int)
-	var paths []string
+	n := 0
 	for _, fs := range r.Findings {
-		for _, f := range fs {
-			if _, ok := idx[f.Path]; !ok {
-				idx[f.Path] = len(paths)
-				paths = append(paths, f.Path)
-			}
+		n = max(n, len(fs))
+	}
+	t := tablePool.Get().(*pathTable)
+	defer t.release()
+	t.paths = slices.Grow(t.paths, n)
+	for _, fs := range r.Findings {
+		for j := range fs {
+			t.index(j, fs[j].Path)
 		}
 	}
 
@@ -64,8 +68,8 @@ func AppendShardResult(dst []byte, r *ShardResult) []byte {
 	dst = appendString(dst, r.WorkerID)
 	dst = binary.AppendVarint(dst, int64(r.Shard))
 	dst = binary.AppendUvarint(dst, r.Generation)
-	dst = binary.AppendUvarint(dst, uint64(len(paths)))
-	for _, p := range paths {
+	dst = binary.AppendUvarint(dst, uint64(len(t.paths)))
+	for _, p := range t.paths {
 		dst = appendString(dst, p)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(r.Findings)))
@@ -76,13 +80,57 @@ func AppendShardResult(dst []byte, r *ShardResult) []byte {
 		}
 		dst = append(dst, 1)
 		dst = binary.AppendUvarint(dst, uint64(len(fs)))
-		for _, f := range fs {
-			dst = binary.AppendUvarint(dst, uint64(idx[f.Path]))
+		for j, f := range fs {
+			dst = binary.AppendUvarint(dst, uint64(t.index(j, f.Path)))
 			dst = append(dst, byte(f.Status))
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f.Overlap))
 		}
 	}
 	return dst
+}
+
+// pathTable is a shard's path table in first-use order. Finding j of a
+// container is entry j in every real shard (every container reports the
+// layout's paths in position order), so index tries that entry first: one
+// string compare, which on the worker is pointer-equal because every
+// Finding.Path is a layout string. Only a finding whose path is not at its
+// own position goes through the map, built on first need.
+type pathTable struct {
+	paths []string
+	idx   map[string]int // every entry of paths; nil until a lookup first misses
+}
+
+// tablePool recycles path tables across encodings: every path of a
+// shard's first container goes through the map, and a cleared map keeps
+// its storage.
+var tablePool = sync.Pool{New: func() any { return new(pathTable) }}
+
+// release clears t, keeping its storage but no string, and pools it.
+func (t *pathTable) release() {
+	clear(t.paths)
+	t.paths = t.paths[:0]
+	clear(t.idx)
+	tablePool.Put(t)
+}
+
+// index returns path's table index, appending it on first use. j is the
+// finding's position within its container.
+func (t *pathTable) index(j int, path string) int {
+	if j < len(t.paths) && t.paths[j] == path {
+		return j
+	}
+	if t.idx == nil {
+		t.idx = make(map[string]int, cap(t.paths))
+		for i, p := range t.paths {
+			t.idx[p] = i
+		}
+	}
+	if i, ok := t.idx[path]; ok {
+		return i
+	}
+	t.idx[path] = len(t.paths)
+	t.paths = append(t.paths, path)
+	return len(t.paths) - 1
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -143,9 +191,11 @@ func (r *wireReader) count(size int, what string) (int, error) {
 	return int(v), nil
 }
 
-// bytes reads a length-prefixed byte string (not copied).
+// bytes reads a length-prefixed byte string (not copied); what names the
+// length in errors. It is a constant at every call: building it here
+// would allocate once per path-table entry.
 func (r *wireReader) bytes(what string) ([]byte, error) {
-	n, err := r.count(1, what+" length")
+	n, err := r.count(1, what)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +276,7 @@ func scanShardResult(b []byte) (shardShape, error) {
 	if v != WireVersion {
 		return sh, fmt.Errorf("wire version %#x, want %#x", v, WireVersion)
 	}
-	if sh.workerID, err = r.bytes("worker id"); err != nil {
+	if sh.workerID, err = r.bytes("worker id length"); err != nil {
 		return sh, err
 	}
 	shard, err := r.varint()
@@ -245,7 +295,7 @@ func scanShardResult(b []byte) (shardShape, error) {
 	}
 	sh.pathsOff = r.off
 	for i := 0; i < sh.npaths; i++ {
-		p, err := r.bytes("path")
+		p, err := r.bytes("path length")
 		if err != nil {
 			return sh, err
 		}

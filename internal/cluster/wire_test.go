@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"unsafe"
@@ -217,4 +219,134 @@ func FuzzDecodeShardResult(f *testing.F) {
 			t.Fatalf("Decode(Append(Decode(b))) differs from Decode(b)")
 		}
 	})
+}
+
+// appendShardResultMapOnly is the reference encoder AppendShardResult is
+// differentially tested against: the path table in first-use order, every
+// finding's index looked up in a map.
+func appendShardResultMapOnly(dst []byte, r *ShardResult) []byte {
+	idx := make(map[string]int)
+	var paths []string
+	for _, fs := range r.Findings {
+		for _, f := range fs {
+			if _, ok := idx[f.Path]; !ok {
+				idx[f.Path] = len(paths)
+				paths = append(paths, f.Path)
+			}
+		}
+	}
+	dst = append(dst, WireVersion)
+	dst = appendString(dst, r.WorkerID)
+	dst = binary.AppendVarint(dst, int64(r.Shard))
+	dst = binary.AppendUvarint(dst, r.Generation)
+	dst = binary.AppendUvarint(dst, uint64(len(paths)))
+	for _, p := range paths {
+		dst = appendString(dst, p)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(r.Findings)))
+	for _, fs := range r.Findings {
+		if fs == nil {
+			dst = append(dst, 0)
+			continue
+		}
+		dst = append(dst, 1)
+		dst = binary.AppendUvarint(dst, uint64(len(fs)))
+		for _, f := range fs {
+			dst = binary.AppendUvarint(dst, uint64(idx[f.Path]))
+			dst = append(dst, byte(f.Status))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f.Overlap))
+		}
+	}
+	return dst
+}
+
+// findingsOf builds one container's findings over the given paths.
+func findingsOf(paths ...string) []core.Finding {
+	fs := make([]core.Finding, len(paths))
+	for i, p := range paths {
+		fs[i] = core.Finding{Path: p, Status: core.FileStatus(i % int(core.Volatile+1)), Overlap: float64(i) / 7}
+	}
+	return fs
+}
+
+// TestAppendShardResultMatchesMapOnly: the positional encoder writes the
+// reference encoder's bytes on real shards and on results whose
+// containers hold different path subsets, reordered or repeated paths,
+// and nil or empty slices.
+func TestAppendShardResultMatchesMapOnly(t *testing.T) {
+	var cases []*ShardResult
+	for _, spec := range []Spec{
+		{Provider: "local", Containers: 3},
+		{Provider: "cc1", Containers: 2, Seed: 7},
+		{Provider: "cc5", Containers: 4},
+	} {
+		res, _ := encodedShard(t, spec, allContainers(spec.Containers))
+		cases = append(cases, res)
+	}
+	cases = append(cases,
+		&ShardResult{WorkerID: "w"},
+		&ShardResult{Findings: [][]core.Finding{nil, {}, nil}},
+		&ShardResult{WorkerID: "subsets", Shard: 5, Generation: 9, Findings: [][]core.Finding{
+			findingsOf("/a", "/b", "/c"),
+			findingsOf("/a", "/c"),
+			findingsOf("/b", "/c", "/d"),
+			findingsOf("/a", "/b", "/c", "/d", "/e"),
+		}},
+		&ShardResult{WorkerID: "reordered", Findings: [][]core.Finding{
+			nil,
+			findingsOf("/a", "/b", "/c"),
+			{},
+			findingsOf("/c", "/b", "/a"),
+			findingsOf("/b", "/a", "/c", "/f"),
+		}},
+		&ShardResult{WorkerID: "repeats", Findings: [][]core.Finding{
+			findingsOf("/a", "/a", "/b"),
+			findingsOf("/b", "/b", "/a", "/a"),
+		}},
+	)
+	// Random shards over a small alphabet, so positions agree sometimes.
+	rng := rand.New(rand.NewPCG(1, 2))
+	alphabet := []string{"/p0", "/p1", "/p2", "/p3", "/p4", "/p5"}
+	for range 200 {
+		res := &ShardResult{Findings: make([][]core.Finding, rng.IntN(5))}
+		for c := range res.Findings {
+			if rng.IntN(6) == 0 {
+				continue // nil container
+			}
+			paths := make([]string, rng.IntN(len(alphabet)+2))
+			for j := range paths {
+				if rng.IntN(3) == 0 {
+					paths[j] = alphabet[rng.IntN(len(alphabet))]
+				} else {
+					paths[j] = alphabet[j%len(alphabet)]
+				}
+			}
+			res.Findings[c] = findingsOf(paths...)
+		}
+		cases = append(cases, res)
+	}
+	for i, res := range cases {
+		want := appendShardResultMapOnly([]byte("prefix"), res)
+		if got := AppendShardResult([]byte("prefix"), res); !bytes.Equal(got, want) {
+			t.Fatalf("case %d (%q): positional encoding differs from the map-only one\n got %x\nwant %x", i, res.WorkerID, got, want)
+		}
+	}
+}
+
+// TestAppendShardResultAllocs bounds the encoder's allocations on a real
+// 32-container shard encoded into a presized buffer. The path table and
+// its map come from a pool, so a warm encoding allocates nothing; the
+// bound leaves room for a cold table (the paths slice and the map, about
+// five allocations), which the race detector's random pool drops force,
+// and still fails at one allocation per finding or per container.
+func TestAppendShardResultAllocs(t *testing.T) {
+	res, enc := encodedShard(t, Spec{Provider: "local", Containers: 32}, allContainers(32))
+	buf := make([]byte, 0, len(enc))
+	allocs := testing.AllocsPerRun(20, func() { buf = AppendShardResult(buf[:0], res) })
+	if !bytes.Equal(buf, enc) {
+		t.Fatal("encoding into a presized buffer changed the bytes")
+	}
+	if allocs > 8 {
+		t.Fatalf("encoding a 32-container shard allocates %.0f times, want at most 8", allocs)
+	}
 }

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -23,6 +26,24 @@ type ShardRequest struct {
 	// Workers bounds the worker-local engine fan-out for this shard
 	// (0 = the worker's GOMAXPROCS, 1 = serial).
 	Workers int `json:"workers,omitempty"`
+}
+
+// DecodeShardRequest reads one shard request, the JSON body of
+// POST /v1/cluster/shards. It rejects unknown fields and anything after
+// the request object, so a concatenated or hand-mangled body fails
+// instead of running the first request it holds. The spec is not
+// validated here.
+func DecodeShardRequest(r io.Reader) (*ShardRequest, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var req ShardRequest
+	if err := dec.Decode(&req); err != nil {
+		return nil, fmt.Errorf("cluster: decode shard request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("cluster: decode shard request: data after the request object")
+	}
+	return &req, nil
 }
 
 // ShardResult is a shard's findings plus the convergence proof. Over HTTP

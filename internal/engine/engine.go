@@ -19,7 +19,8 @@
 // per-path map probe. Every cache is a slice indexed by that position:
 //
 //   - Finding slabs, one per container mount: slot i holds the verdict for
-//     path i and the source epoch it was computed at.
+//     path i (status and overlap; the path is the layout's) and the source
+//     epoch it was computed at. A slot holds no pointer.
 //   - Host entries, one slot per path, once-per-epoch: during a fleet pass
 //     over N containers, the host-side read of each path is rendered at
 //     most once and shared by all N validations, together with its line
@@ -121,10 +122,15 @@ type slab struct {
 	cached  atomic.Int64 // filled entries, for Stats without mu
 }
 
+// findingEntry is one slab slot: the verdict for the slab's path at the
+// source epoch it was computed at. The path is the engine's e.paths[i], so
+// the slot holds no pointer: refilling it needs no write barrier and the
+// GC never scans a slab.
 type findingEntry struct {
-	epoch  uint64
-	filled bool
-	f      core.Finding
+	epoch   uint64
+	overlap float64
+	status  core.FileStatus
+	filled  bool
 }
 
 // hostEntry holds the host read of one path at one epoch. It is rendered
@@ -290,7 +296,7 @@ func (e *Engine) fill(cont *pseudofs.Mount, s *slab, p *pass, i int, buf []byte,
 	ent := &s.entries[i]
 	if ent.filled && ent.epoch == p.epochs[i] {
 		t.hits++
-		return ent.f, buf
+		return core.Finding{Path: e.paths[i], Status: ent.status, Overlap: ent.overlap}, buf
 	}
 	t.misses++
 	path := e.paths[i]
@@ -312,7 +318,7 @@ func (e *Engine) fill(cont *pseudofs.Mount, s *slab, p *pass, i int, buf []byte,
 	if !ent.filled {
 		s.cached.Add(1)
 	}
-	*ent = findingEntry{epoch: p.epochs[i], filled: true, f: f}
+	*ent = findingEntry{epoch: p.epochs[i], overlap: f.Overlap, status: f.Status, filled: true}
 	return f, buf
 }
 
@@ -329,7 +335,10 @@ func (e *Engine) hostRead(h *hostEntry, path string) *core.HostContent {
 // match a pass that renders host content only for classification.
 func (e *Engine) hostContent(h *hostEntry, path string, t *tally) *core.HostContent {
 	c := e.hostRead(h, path)
-	if h.asked.CompareAndSwap(false, true) {
+	// Load before the CAS: every container of a fleet pass asks for the
+	// same entries, and a CAS that fails still takes the cache line
+	// exclusive, bouncing it between the cores of the fan-out.
+	if !h.asked.Load() && h.asked.CompareAndSwap(false, true) {
 		t.hostRenders++
 	} else {
 		t.hostHits++

@@ -91,10 +91,8 @@ func (a *api) postClusterShardV1(w http.ResponseWriter, r *http.Request) {
 	if !a.requireRole(w, cluster.RoleWorker) {
 		return
 	}
-	var req cluster.ShardRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, cluster.MaxMessageBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := cluster.DecodeShardRequest(http.MaxBytesReader(w, r.Body, cluster.MaxMessageBytes))
+	if err != nil {
 		writeErrorV1(w, http.StatusBadRequest, codeBadRequest, "invalid JSON body: %v", err)
 		return
 	}
@@ -102,7 +100,7 @@ func (a *api) postClusterShardV1(w http.ResponseWriter, r *http.Request) {
 		writeErrorV1(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
 	}
-	res, err := a.cfg.Cluster.Worker().ExecShard(r.Context(), &req)
+	res, err := a.cfg.Cluster.Worker().ExecShard(r.Context(), req)
 	if err != nil {
 		status, code := http.StatusInternalServerError, codeInternal
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -156,6 +156,31 @@ func TestClusterWorkerShardRoundTrip(t *testing.T) {
 	envelope(t, body, "bad_request")
 }
 
+// TestClusterShardRejectsTrailingData: a shard body holding a second value
+// after the request object is a 400, and the worker runs neither request.
+func TestClusterShardRejectsTrailingData(t *testing.T) {
+	node := cluster.NewWorkerNode(cluster.NewWorker("w1", cluster.NewLocalWorlds(1)))
+	srv := newClusterAPI(t, node)
+	one := `{"scan_id":"s1","shard":0,"spec":{"provider":"local","containers":2},"containers":[0]}`
+	for name, body := range map[string]string{
+		"two requests":   one + one,
+		"trailing value": one + ` 7`,
+		"trailing junk":  one + `x`,
+	} {
+		resp, raw := post(t, srv, "/v1/cluster/shards", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d (%s); want 400", name, resp.StatusCode, raw)
+		}
+		envelope(t, raw, "bad_request")
+	}
+	if hb := node.Worker().Heartbeat(); hb.Shards != 0 {
+		t.Fatalf("worker executed %d shards from rejected bodies", hb.Shards)
+	}
+	if resp, raw := post(t, srv, "/v1/cluster/shards", one+"\n"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("body with trailing newline: status = %d (%s); want 200", resp.StatusCode, raw)
+	}
+}
+
 // TestClusterCoordinatorScanViaAPI runs a partitioned scan through
 // POST /v1/cluster/scans against an in-process worker pair and checks the
 // summary envelope.
